@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -61,12 +62,18 @@ def _load_problem(path, maximize=False):
 
 
 def _emit(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=False)
+    text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _number(value):
+    """A float for JSON, or None (null) where it is not finite."""
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def _result_payload(prob, res):
@@ -76,12 +83,15 @@ def _result_payload(prob, res):
         "problem": prob.name or "<unnamed>",
         "method": res.method,
         "k": res.order,
-        "bound": res.bound,
-        "primal": res.primal,
-        "dual": res.dual,
-        "gap": res.report.gap,
+        "bound": _number(res.bound),
+        "primal": _number(res.primal),
+        "dual": _number(res.dual),
+        "gap": _number(res.report.gap),
+        "pinf": _number(res.report.pinf),
+        "dinf": _number(res.report.dinf),
         "status": res.report.status,
         "iterations": res.report.iterations,
+        "schur_blocks": list(res.report.schur_blocks),
         "block_size_histogram": hist,
         "certified": bool(res.certified),
         "time_ms": {
@@ -388,7 +398,6 @@ def make_parser():
         "--maximize", action="store_true",
         help="treat the file's objective as a maximization",
     )
-    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--out", default=None)
     ps.add_argument("--psd-cap", dest="psd_cap", type=int, default=None)
     ps.set_defaults(func=cmd_solve)

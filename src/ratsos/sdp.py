@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import dsyr2k as _syr2k
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 import scipy.sparse as sp
 
 from .errors import ProblemTooLargeError, SolveError
@@ -98,12 +99,14 @@ class SolveReport:
     pinf: float = float("nan")
     dinf: float = float("nan")
     y: np.ndarray | None = None
+    # orders of the separately factored blocks of the Schur matrix
+    schur_blocks: tuple = ()
 
     def ok(self):
         return self.status in ("optimal", "near_optimal")
 
 
-def _dedupe_rows(rows_cols_vals, rhs):
+def _dedupe_rows(rows_cols_vals):
     """Drop exact duplicate equality rows (same normalized content)."""
     seen = {}
     keep = []
@@ -159,13 +162,11 @@ def to_standard_form(rsdp, fold_unit_blocks=True, dedupe=True):
     eq_mat = None
     eq_rhs = None
     if rsdp.eq_rows:
-        triples = []
-        rhs = []
-        for cols, vals, b in rsdp.eq_rows:
-            triples.append((list(cols), list(vals), float(b)))
-            rhs.append(float(b))
+        triples = [
+            (list(cols), list(vals), float(b)) for cols, vals, b in rsdp.eq_rows
+        ]
         if dedupe:
-            keep = _dedupe_rows(triples, rhs)
+            keep = _dedupe_rows(triples)
         else:
             keep = [i for i, t in enumerate(triples) if len(t[1])]
         data, ri, ci, rb = [], [], [], []
@@ -245,7 +246,6 @@ class _SizeGroup:
         self.G_x = self.G.astype(_XP)
         self.GT_x = self.GT.astype(_XP)
         counts = [len(v) for v in self.vars_list]
-        self.block_of_row = np.repeat(np.arange(self.B), counts)
         self.row_splits = np.cumsum([0] + counts)
         self.Fcat = (
             np.concatenate(self.F_list) if counts else
@@ -262,113 +262,337 @@ class _SizeGroup:
         """Accumulated <F_l, T_b> over all blocks, as a length-m vector."""
         return self.GT @ Tstack.ravel()
 
-    def add_schur(self, W, Mmat):
-        Wrows = W[self.block_of_row]
-        T = np.matmul(Wrows, np.matmul(self.Fcat, Wrows))
+    def add_schur(self, W, mats, place):
+        """Add each block's <F_i, W F_j W> into its component's matrix.
+
+        `place[b]` is (component, local indices of the block's variables).
+        """
         ss = self.s * self.s
-        for b in range(self.B):
+        for b, where in enumerate(place):
+            if where is None:
+                continue
+            k, loc = where
             lo, hi = self.row_splits[b], self.row_splits[b + 1]
-            Mloc = self.Fm_list[b] @ T[lo:hi].reshape(hi - lo, ss).T
-            idx = self.vars_list[b]
-            Mmat[np.ix_(idx, idx)] += Mloc
+            T = np.matmul(W[b], np.matmul(self.Fcat[lo:hi], W[b]))
+            Mloc = self.Fm_list[b] @ T.reshape(hi - lo, ss).T
+            mats[k][np.ix_(loc, loc)] += Mloc
 
 
-class _EqualityElimination:
-    """Orthogonal elimination of the equality rows from the Newton system.
+class _BlockAngular:
+    """The block-angular structure of the Newton system, fixed for a solve.
 
-    A pivoted QR of E' gives E'[:, piv] = Q1 [R11 R12] with Q1 orthonormal
-    (r = rank E columns).  A direction splits into dy = Q1 a + u with u in
-    the null space of E: the equality rows fix a through the triangular
-    R11, the Schur system is solved for u on null(E) only, and the
-    multipliers follow from R11 again.  Dependent rows get a zero
+    Two decision variables meet in the Schur matrix M only when they share
+    a PSD block or a folded diagonal row, so M is block-diagonal over the
+    connected components of that relation: one per measure in the
+    multi-measure relaxations.  An equality row inside one component is an
+    intra row, a row spanning components a linking row.
+
+    Intra rows are eliminated per component: a pivoted QR of E_k' gives
+    E_k'[:, piv] = Q_k [R_k R_k'']; Q_I and R_I hold the Q_k and R_k of all
+    components (block-diagonal) and P_I = I - Q_I Q_I' projects onto
+    null(E_intra).  Linking rows get a range-space correction: U is an
+    orthonormal basis of P_I E_L' from a second pivoted QR, so null(E) is
+    null(E_intra) orthogonal to U, P = P_I - U U' projects onto it, and
+    [Q_I U] spans the row space of E.  Dependent rows get a zero
     multiplier.
+
+    A problem with at least as many linking rows as components is treated
+    as one component.  The correction works through U' M~^-1 U, whose
+    rounding grows with the number of linking rows: split, most of the
+    unit-ball-mix relaxations (20 to 80 linking rows over 3 measures) end
+    short of the tolerance; merged, they reach it.
     """
 
-    def __init__(self, E):
-        Q, R, piv = sla.qr(E.T.toarray(), mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        r = int((diag > 1e-12 * diag[0]).sum()) if diag.size else 0
-        self.Q1 = Q[:, :r]
-        self.R11 = R[:r, :r]
-        self.piv = piv
-        self.r = r
+    def __init__(self, m, groups, dg, E):
+        self.m = m
+        self.nf = 0 if E is None else E.shape[0]
+        if self.nf:
+            E = sp.csr_matrix(E)
+        # union by relabelling: each label is the smallest variable of its set
+        lab = np.arange(m)
+        var_sets = [vs for g in groups for vs in g.vars_list if len(vs)]
+        if dg is not None:
+            by_pos = np.argsort(dg.pos, kind="stable")
+            cuts = np.flatnonzero(np.diff(dg.pos[by_pos])) + 1
+            var_sets += np.split(dg.varids[by_pos], cuts)
+        for vs in var_sets:
+            roots = np.unique(lab[vs])
+            if len(roots) > 1:
+                lab[np.isin(lab, roots)] = roots[0]
+        home = np.zeros(self.nf, dtype=np.int64)
+        linking = np.zeros(self.nf, dtype=bool)
+        if self.nf:
+            entry_row = np.repeat(np.arange(self.nf), np.diff(E.indptr))
+            lo = np.full(self.nf, m)
+            hi = np.full(self.nf, -1)
+            np.minimum.at(lo, entry_row, lab[E.indices])
+            np.maximum.at(hi, entry_row, lab[E.indices])
+            home, linking = np.minimum(lo, m - 1), lo != hi
+        labels = np.unique(lab)
+        if linking.sum() >= len(labels):
+            lab[:] = home[:] = 0
+            linking[:] = False
+            labels = np.zeros(1, dtype=np.int64)
+        order = np.argsort(lab, kind="stable")
+        counts = np.bincount(np.searchsorted(labels, lab), minlength=len(labels))
+        by_label = np.split(order, np.cumsum(counts)[:-1])
+        # components of equal size next to each other, so that each size
+        # class is one (K, s, s) stack of the flat buffer
+        by_size = np.argsort(counts, kind="stable")
+        self.vars = [by_label[i] for i in by_size]
+        self.sizes = counts = counts[by_size]
+        cuts = np.flatnonzero(np.diff(counts)) + 1
+        self.classes = [
+            (int(counts[k0]), k0, k1)
+            for k0, k1 in zip(np.r_[0, cuts], np.r_[cuts, len(counts)])
+        ]
+        comp_of = np.empty(m, dtype=np.int64)
+        self.local = np.empty(m, dtype=np.int64)
+        for k, vs in enumerate(self.vars):
+            comp_of[vs] = k
+            self.local[vs] = np.arange(len(vs))
+        self.offsets = np.concatenate([[0], np.cumsum(counts ** 2)])
+        # flat positions of the component diagonals, one run per component
+        self.diag_pos = np.concatenate(
+            [off + np.arange(n) * (n + 1) for off, n in zip(self.offsets, counts)]
+        )
+        self.diag_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        # flat position of entry (i, j) of a component matrix: row_base[i] + local[j]
+        self.row_base = self.offsets[comp_of] + self.local * counts[comp_of]
+        self.class_vars = [
+            np.concatenate(self.vars[k0:k1]) for _, k0, k1 in self.classes
+        ]
+        self.place = [
+            [(comp_of[vs[0]], self.local[vs]) if len(vs) else None
+             for vs in g.vars_list]
+            for g in groups
+        ]
+
+        # intra rows, per component
+        Et = E.T.toarray() if self.nf else None
+        home_comp = comp_of[home]
+        Q, r_blocks, piv = [], [], []
+        for k, vs in enumerate(self.vars):
+            rows = np.flatnonzero(~linking & (home_comp == k))
+            Qk, Rk, pk = (
+                _pivoted_qr(Et[np.ix_(vs, rows)]) if len(rows) else (None,) * 3
+            )
+            Q.append(Qk)
+            if Qk is not None:
+                r_blocks.append(Rk)
+                piv.append(rows[pk])
+        # per size class, the Q_k stacked with zero columns up to the widest
+        # (they add nothing), each in Fortran order like the QR factor
+        self.Q = []
+        for n, k0, k1 in self.classes:
+            r = max([0] + [Qk.shape[1] for Qk in Q[k0:k1] if Qk is not None])
+            Qs = np.zeros((k1 - k0, r, n)).transpose(0, 2, 1) if r else None
+            for k, Qk in enumerate(Q[k0:k1]):
+                if Qk is not None:
+                    Qs[k, :, :Qk.shape[1]] = Qk
+            self.Q.append(Qs)
+        self.r_I = sum(len(p) for p in piv)
+        # Q_I in Fortran order like the QR factor itself, so that one
+        # component takes the same BLAS paths as a dense elimination
+        self.Q_I = np.zeros((m, self.r_I), order="F")
+        col = 0
+        for vs, Qk in zip(self.vars, Q):
+            if Qk is not None:
+                self.Q_I[vs, col:col + Qk.shape[1]] = Qk
+                col += Qk.shape[1]
+        if self.r_I:
+            self.R_I = sla.block_diag(*r_blocks)
+            self.piv_I = np.concatenate(piv)
+
+        # linking rows, one correction for all components
+        self.r_L = 0
+        link = np.flatnonzero(linking)
+        if len(link):
+            ELt = Et[:, link]
+            U, self.R_L, pk = _pivoted_qr(ELt - self.Q_I @ (self.Q_I.T @ ELt))
+            if U is not None:
+                self.U = U
+                self.r_L = U.shape[1]
+                self.piv_L = link[pk]
+                self.E_L = Et[:, self.piv_L].T
+
+    def views(self, buf, order="C"):
+        """Per-component square matrices backed by one flat buffer."""
+        return [
+            buf[self.offsets[k]:self.offsets[k + 1]].reshape(n, n, order=order)
+            for k, n in enumerate(self.sizes)
+        ]
 
     def project(self, v):
-        """Component of v orthogonal to the row space of E."""
-        return v - self.Q1 @ (self.Q1.T @ v)
+        """Component of v in null(E)."""
+        if self.r_I:
+            v = v - self.Q_I @ (self.Q_I.T @ v)
+        if self.r_L:
+            v = v - self.U @ (self.U.T @ v)
+        return v
 
     def particular(self, r_e):
-        """The component Q1 a of dy that E dy = r_e fixes."""
-        r = self.r
-        return self.Q1 @ sla.solve_triangular(
-            self.R11, r_e[self.piv[:r]], trans="T"
-        )
+        """A dy in the row space of E with E dy = r_e."""
+        dy = np.zeros(self.m)
+        if self.r_I:
+            dy = self.Q_I @ sla.solve_triangular(
+                self.R_I, r_e[self.piv_I], trans="T"
+            )
+        if self.r_L:
+            # E_L[piv_L] U = R_L' since U lies in null(E_intra)
+            dy += self.U @ sla.solve_triangular(
+                self.R_L, r_e[self.piv_L] - self.E_L @ dy, trans="T"
+            )
+        return dy
 
-    def multipliers(self, v, nf):
-        """dnu with E' dnu = Q1 Q1' v; dependent rows get zero."""
-        dnu = np.zeros(nf)
-        dnu[self.piv[: self.r]] = sla.solve_triangular(
-            self.R11, np.asarray(self.Q1.T @ v, dtype=float)
-        )
+    def multipliers(self, v):
+        """dnu with E' dnu = (Q_I Q_I' + U U') v; dependent rows get zero."""
+        dnu = np.zeros(self.nf)
+        if self.r_L:
+            dnu[self.piv_L] = sla.solve_triangular(
+                self.R_L, np.asarray(self.U.T @ v, dtype=float)
+            )
+            v = v - self.E_L.T @ dnu[self.piv_L]
+        if self.r_I:
+            dnu[self.piv_I] = sla.solve_triangular(
+                self.R_I, np.asarray(self.Q_I.T @ v, dtype=float)
+            )
         return dnu
 
 
-class _SchurFactor:
+def _pivoted_qr(At):
+    """(Q1, R11, piv) of At[:, piv] = Q1 [R11 R12], rank-revealing."""
+    Q, R, piv = sla.qr(At, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    r = int((diag > 1e-12 * diag[0]).sum()) if diag.size else 0
+    if not r:
+        return None, None, None
+    return Q[:, :r], R[:r, :r], piv[:r]
+
+
+def _cholesky(A, scale, shift=0.0):
+    """(upper Cholesky factor, shift) of A + shift I, climbing the ladder.
+
+    The shift is zero unless rounding makes A numerically indefinite (late
+    iterations, where M spans more than 1/eps); it is then the smallest
+    rung that lets Cholesky through, and the factor is only a
+    preconditioner for the Krylov solve in `_NewtonSystem`.
+    """
+    while True:
+        with np.errstate(all="ignore"):
+            shifted = A + shift * np.eye(len(A)) if shift else A
+            cho, info = _potrf(shifted, lower=0, clean=0)
+        if info == 0 and np.isfinite(np.diag(cho)).all():
+            return cho, shift
+        shift = 1e-14 * scale if not shift else 100.0 * shift
+        if shift > 1e-4 * scale:
+            raise np.linalg.LinAlgError("Schur matrix not positive definite")
+
+
+class _BlockAngularFactor:
     """Double-precision factorization of the Schur matrix on null(E).
 
-    The restricted matrix P M P + g Q1 Q1' (P the projector onto null(E))
-    is positive definite whenever M is on null(E); it is factored by
-    Cholesky.  When rounding makes it numerically indefinite (late
-    iterations, where M spans more than 1/eps), the smallest diagonal shift
-    that lets Cholesky through is added; the factor is then only the
-    preconditioner of the Krylov solve in `_NewtonSystem`.
+    Each component matrix is restricted to the null space of its intra
+    rows, P_k M_k P_k + g_k Q_k Q_k', which is positive definite whenever
+    M_k is on that space, and Cholesky-factored; call M~ the block-diagonal
+    result.  The linking rows are taken care of by the range-space
+    correction: with Y = M~^-1 U, the inverse of P M P on null(E) is
+    w -> z - Y (U'Y)^-1 U'z with z = M~^-1 w, and U'Y gets its own small
+    Cholesky factor.  With one component and no linking rows this is one
+    dense factorization of the whole matrix.
+
+    `buf` holds the component matrices (`_BlockAngular.views`).  Equal-size
+    components are stacked and handled by batched products; only syr2k,
+    the Cholesky factorization and the triangular solves go component by
+    component, as LAPACK has no batched form of them in numpy or scipy.
     """
 
-    def __init__(self, M, elim, nf):
-        self.M = M
-        self.elim = elim
-        self.nf = nf
-        if elim is not None:
-            # P M P + g Q1 Q1' = M + Q1 B' + B Q1' with B = Q1 K / 2 - M Q1
-            # and K = Q1' M Q1 + g I; Cholesky reads the upper triangle only
-            Q1 = elim.Q1
-            MQ = M @ Q1
-            K = Q1.T @ MQ + float(np.mean(np.diag(M))) * np.eye(elim.r)
-            B = 0.5 * (Q1 @ K) - MQ
-            Mt = _syr2k(1.0, Q1, B, beta=1.0, c=np.array(M, order="F"),
-                         overwrite_c=True)
-        else:
-            Mt = M
-        scale = float(np.abs(np.diag(Mt)).max()) if Mt.size else 1.0
-        self.diag_max = scale
-        self.shift = 0.0
-        while True:
-            try:
-                with np.errstate(all="ignore"):
-                    shifted = Mt + self.shift * np.eye(len(Mt)) if self.shift else Mt
-                    self.cho = sla.cho_factor(shifted, check_finite=False)
-                if not np.isfinite(np.diag(self.cho[0])).all():
-                    raise np.linalg.LinAlgError("non-finite Schur factor")
-                break
-            except np.linalg.LinAlgError:
-                self.shift = 1e-14 * scale if not self.shift else 100.0 * self.shift
-                if self.shift > 1e-4 * scale:
-                    raise
+    def __init__(self, ba, buf):
+        self.ba = ba
+        # restricted matrices in Fortran order, the layout LAPACK reads
+        tbuf = np.empty_like(buf)
+        Mt = ba.views(tbuf, order="F")
+        self.stacks = []
+        for (n, k0, k1), Qs in zip(ba.classes, ba.Q):
+            lo, hi = ba.offsets[k0], ba.offsets[k1]
+            Ms = buf[lo:hi].reshape(-1, n, n)
+            self.stacks.append(Ms)
+            tbuf[lo:hi].reshape(-1, n, n)[...] = np.transpose(Ms, (0, 2, 1))
+            if Qs is not None:
+                # P M P + g Q Q' = M + Q B' + B Q' with B = Q K / 2 - M Q,
+                # K = Q' M Q + g I and g the mean of diag(M); Cholesky reads
+                # the upper triangle only
+                MQ = Ms @ Qs
+                K = np.transpose(Qs, (0, 2, 1)) @ MQ
+                diag = np.diagonal(Ms, axis1=1, axis2=2)
+                r = np.arange(K.shape[-1])
+                K[:, r, r] += (np.add.reduce(diag, axis=1) / n)[:, None]
+                B = 0.5 * (Qs @ K) - MQ
+                for k in range(k1 - k0):
+                    _syr2k(1.0, Qs[k], B[k], beta=1.0, c=Mt[k0 + k],
+                           overwrite_c=True)
+        scales = np.maximum.reduceat(np.abs(tbuf[ba.diag_pos]), ba.diag_starts)
+        # a variable in no block is a component with a zero matrix; the
+        # ladder still needs a scale for it
+        scales[scales == 0.0] = 1.0
+        self.diag_max = float(scales.max())
+        # factor in place in a copy, so a component that fails can climb
+        # the shift ladder from its restricted matrix
+        cbuf = tbuf.copy()
+        self.cho = ba.views(cbuf, order="F")
+        with np.errstate(all="ignore"):
+            info = [_potrf(c, lower=0, clean=0, overwrite_a=1)[1] for c in self.cho]
+        good = np.logical_and.reduceat(np.isfinite(cbuf[ba.diag_pos]), ba.diag_starts)
+        shifts = [0.0]
+        for k in np.flatnonzero(~good | (np.asarray(info) != 0)):
+            self.cho[k], shift = _cholesky(Mt[k], scales[k], 1e-14 * scales[k])
+            shifts.append(shift)
+        if ba.r_L:
+            self.Y = self._block_solve(ba.U)
+            UY = ba.U.T @ self.Y
+            self.UY, shift = _cholesky(UY, float(np.abs(np.diag(UY)).max()) or 1.0)
+            shifts.append(shift)
+        self.shift = max(shifts)
+        self.project = ba.project
+        self.multipliers = ba.multipliers
+
+    def _block_solve(self, w):
+        """M~^-1 w, component by component (w a vector or a column stack)."""
+        x = np.empty_like(w)
+        with np.errstate(all="ignore"):
+            for vs, cho in zip(self.ba.vars, self.cho):
+                x[vs] = _potrs(cho, w[vs], lower=0)[0]
+        return x
+
+    def matvec(self, v):
+        out = np.empty(len(v))
+        for (n, _, _), vs, Ms in zip(self.ba.classes, self.ba.class_vars, self.stacks):
+            out[vs] = (Ms @ v[vs].reshape(-1, n, 1)).ravel()
+        return out
 
     def precond(self, w):
-        """Inverse of the factored matrix applied to w in null(E)."""
-        with np.errstate(all="ignore"):
-            x = sla.cho_solve(self.cho, w, check_finite=False)
-        return x if self.elim is None else self.elim.project(x)
+        """Inverse of P M P on null(E) applied to w in null(E)."""
+        x = self._block_solve(w)
+        if self.ba.r_L:
+            with np.errstate(all="ignore"):
+                x -= self.Y @ _potrs(self.UY, self.ba.U.T @ x, lower=0)[0]
+        return self.project(x)
 
     def solve(self, rhs1, r_e):
-        """Approximate (dy, dnu) with M dy - E' dnu = rhs1, E dy = r_e."""
-        elim = self.elim
-        if elim is None:
-            return self.precond(rhs1), np.zeros(self.nf)
-        dy = elim.particular(r_e)
-        dy += self.precond(elim.project(rhs1 - self.M @ dy))
-        return dy, elim.multipliers(self.M @ dy - rhs1, self.nf)
+        """(dy, dnu, res): M dy - E' dnu = rhs1 and E dy = r_e, approximately.
+
+        res is the size of the residual left on null(E), P (M dy - rhs1),
+        as computed in double precision.
+        """
+        dy = self.ba.particular(r_e)
+        dy += self.precond(self.project(rhs1 - self.matvec(dy)))
+        v = self.matvec(dy) - rhs1
+        # Cholesky on null(E_intra) is backward stable, so the rounding
+        # bound of `_NewtonSystem` covers it; the linking-row correction is
+        # not (z and Y c can both be far larger than dy), so its residual
+        # is measured
+        res = float(np.linalg.norm(self.project(v))) if self.ba.r_L else 0.0
+        return dy, self.multipliers(v), res
 
 
 class _NewtonSystem:
@@ -416,14 +640,13 @@ class _NewtonSystem:
         removes, and GMRES stalls at about its size, however far below
         that the target lies.
         """
-        dy, dnu = self.factor.solve(rhs1, r_e)
+        dy, dnu, res = self.factor.solve(rhs1, r_e)
         bound = 4.0 * np.finfo(float).eps * self.factor.diag_max * float(
             np.abs(dy).sum()
         )
-        if self.factor.shift == 0.0 and bound <= target:
+        if self.factor.shift == 0.0 and max(bound, res) <= target:
             return dy, dnu, False
-        elim = self.factor.elim
-        project = elim.project if elim is not None else (lambda v: v)
+        project = self.factor.project
         rhs1 = rhs1.astype(_XP)
         dy = dy.astype(_XP)
         Mdy = self.apply(dy)
@@ -453,9 +676,7 @@ class _NewtonSystem:
             dy += _XP(cf) * zv
             Mdy += _XP(cf) * mzv
 
-        if elim is not None:
-            dnu = elim.multipliers(Mdy - rhs1, self.factor.nf)
-        return dy, dnu, True
+        return dy, self.factor.multipliers(Mdy - rhs1), True
 
 
 def _nt_factor_stack(X, S):
@@ -485,9 +706,11 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
     """Solve the block SDP with the built-in interior-point method.
 
     Nesterov-Todd scaled path following with a Mehrotra predictor-corrector
-    step from an infeasible start.  Equality rows are eliminated exactly
-    from the Newton system, and near the optimum that system is solved to
-    extended accuracy (`_NewtonSystem`).  Deterministic: fixed
+    step from an infeasible start.  The Schur matrix is assembled and
+    factored per connected component of the variables, equality rows are
+    eliminated exactly from the Newton system (`_BlockAngular`), and near
+    the optimum that system is solved to extended accuracy
+    (`_NewtonSystem`).  Deterministic: fixed
     initialization and iteration rule, no randomness.  Raises
     ProblemTooLargeError above the size cap (RATSOS_PSD_CAP or `psd_cap`
     overrides the default of 3000).
@@ -524,7 +747,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
     E = sf.eq_mat
     nf = sf.num_eq
     d = sf.eq_rhs if nf else np.zeros(0)
-    ET = E.T.toarray() if nf else None
+    ET = E.T.tocsr() if nf else None
 
     dim = total_dim
     data_scale = 1.0 + max(
@@ -550,9 +773,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
     y = np.zeros(m)
     nu = np.zeros(nf)
 
-    elim = _EqualityElimination(E) if nf else None
-    if elim is not None and not elim.r:
-        elim = None
+    ba = _BlockAngular(m, groups, dg, E if nf else None)
     A_dg_x = A_dg.astype(_XP) if dg is not None else None
 
     best = None
@@ -642,13 +863,15 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
             w_dg = np.sqrt(x_vec / s_vec)
             lam_dg = np.sqrt(x_vec * s_vec)
 
-        Mmat = np.zeros((m, m))
+        buf = np.zeros(ba.offsets[-1])
+        mats = ba.views(buf)
         for gi, g in enumerate(groups):
-            g.add_schur(nts[gi][2], Mmat)
+            g.add_schur(nts[gi][2], mats, ba.place[gi])
         if dg is not None:
-            Mmat += (A_dgT @ sp.diags(w_dg ** 2) @ A_dg).toarray()
+            D = (A_dgT @ sp.diags(w_dg ** 2) @ A_dg).tocoo()
+            buf[ba.row_base[D.row] + ba.local[D.col]] += D.data
         try:
-            factor = _SchurFactor(Mmat, elim, nf)
+            factor = _BlockAngularFactor(ba, buf)
         except (ValueError, np.linalg.LinAlgError):
             status = "numerical_issue"
             break
@@ -672,9 +895,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
         )
         # where the dual residual does not shrink, GMRES stalls at its size
         # (on null(E)); a residual within twice that is as far as it gets
-        residual_floor = 2.0 * float(
-            np.linalg.norm(elim.project(r_d) if elim is not None else r_d)
-        )
+        residual_floor = 2.0 * float(np.linalg.norm(ba.project(r_d)))
 
         def unscale(gi, Z):
             R = nts[gi][0]
@@ -891,7 +1112,9 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
                 if dg is not None:
                     Ax += A_dgT @ xvd
                 if nf:
-                    nud = nud + np.linalg.lstsq(ET, c - Ax - ET @ nud, rcond=None)[0]
+                    nud = nud + np.linalg.lstsq(
+                        ET.toarray(), c - Ax - ET @ nud, rcond=None
+                    )[0]
                     r = c - Ax - ET @ nud
                 else:
                     r = c - Ax
@@ -1010,6 +1233,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
         pinf=pinf,
         dinf=dinf,
         y=y_best,
+        schur_blocks=tuple(int(n) for n in ba.sizes),
     )
 
 

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from ratsos.cli import EXIT_BUILD, EXIT_PARSE, main
+from ratsos import relax
+from ratsos.cli import EXIT_BUILD, EXIT_PARSE, EXIT_SOLVE_NOT_OK, main
 from ratsos.families import gen_unit_ball_mix
 from ratsos.problem import parse, serialize
+from ratsos.sdp import SolveReport
 
 
 @pytest.fixture
@@ -39,6 +41,37 @@ class TestSolve:
         assert payload["certified"] is True
         assert set(payload["time_ms"]) == {"build", "solve"}
         assert isinstance(payload["block_size_histogram"], dict)
+
+    def test_residuals_and_schur_blocks_reported(self, capsys, ball_mix_file):
+        code, payload = run_json(
+            capsys, ["solve", ball_mix_file, "--method", "dense", "--order", "2"]
+        )
+        assert code == 0
+        assert payload["status"] == "optimal"
+        assert 0.0 <= payload["pinf"] <= 1e-8
+        assert 0.0 <= payload["dinf"] <= 1e-8
+        # three measures tied by 20 linking rows are factored as one block
+        assert payload["schur_blocks"] == [105]
+
+    def test_unusable_solve_writes_strict_json(self, capsys, trivial_file,
+                                               monkeypatch):
+        def failed_solve(sf, **kwargs):
+            return SolveReport(
+                status="numerical_issue", primal=float("nan"),
+                dual=float("-inf"), gap=float("nan"), iterations=3,
+                block_sizes=sf.block_sizes(), wall_time=0.0,
+            )
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        monkeypatch.setattr(relax, "solve_internal", failed_solve)
+        code = main(["solve", trivial_file, "--method", "dense", "--order", "1"])
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == EXIT_SOLVE_NOT_OK
+        assert payload["status"] == "numerical_issue"
+        for key in ("bound", "primal", "dual", "gap", "pinf", "dinf"):
+            assert payload[key] is None, key
 
     def test_ratio_order_case_three(self, capsys, ball_mix_file):
         code, payload = run_json(

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyr2k
 
+from ratsos import sdp
 from ratsos.errors import ProblemTooLargeError, SolveError
-from ratsos.families import gen_reznick_sparse_chain
+from ratsos.families import (
+    gen_overlap_chain,
+    gen_rand_srfo,
+    gen_reznick_chain,
+    gen_reznick_sparse_chain,
+    gen_unit_ball_mix,
+)
 from ratsos.relax import build, reported_bound
 from ratsos.sdp import (
     DiagBlockData,
@@ -176,6 +185,186 @@ class TestInternalSolver:
         assert rep.status == "optimal", facts
         assert max(rep.gap, rep.pinf, rep.dinf) <= 1e-8, facts
         assert abs(reported_bound(rep) - 5.0) <= 1e-6, (reported_bound(rep), facts)
+
+
+def schur_structure(sf):
+    """Size groups and block-angular structure, as `solve_internal` sets them up."""
+    by_size = {}
+    for blk in sf.blocks:
+        by_size.setdefault(blk.size, []).append(blk)
+    groups = [
+        sdp._SizeGroup(size, blks, sf.num_vars)
+        for size, blks in sorted(by_size.items())
+    ]
+    return groups, sdp._BlockAngular(sf.num_vars, groups, sf.diag, sf.eq_mat)
+
+
+def first_iterate_schur(sf):
+    """Component Schur matrices and a dense reference at the starting point.
+
+    The solver starts from X_b = 10 I and S_b = eta_b I, so the NT scaling
+    is W_b = sqrt(10 / eta_b) I and M = sum_b (10 / eta_b) G_b' G_b, with
+    G_b the vectorized LMI map of block b.
+    """
+    assert sf.diag is None
+    groups, ba = schur_structure(sf)
+    buf = np.zeros(ba.offsets[-1])
+    mats = ba.views(buf)
+    dense = np.zeros((sf.num_vars, sf.num_vars))
+    for g, place in zip(groups, ba.place):
+        eta = np.maximum(10.0, 1.5 * np.sqrt((g.C ** 2).sum(axis=(1, 2))))
+        g.add_schur(np.sqrt(10.0 / eta)[:, None, None] * np.eye(g.s), mats, place)
+        ss = g.s * g.s
+        for b in range(g.B):
+            Gb = g.G[b * ss:(b + 1) * ss]
+            dense += (10.0 / eta[b]) * (Gb.T @ Gb).toarray()
+    return ba, buf, dense
+
+
+def dense_reference_factor(E):
+    """The dense Schur factorization the block-angular one replaced.
+
+    One matrix for all variables: pivoted QR of E', Cholesky of
+    P M P + g Q1 Q1' with the same shift ladder.  It takes the place of
+    `sdp._BlockAngularFactor` for a problem with one component.
+    """
+    Q, R, piv = sla.qr(E.T.toarray(), mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    r = int((diag > 1e-12 * diag[0]).sum())
+    Q1, R11 = Q[:, :r], R[:r, :r]
+
+    class Factor:
+        def __init__(self, ba, buf):
+            M = self.M = buf.reshape(E.shape[1], E.shape[1])
+            MQ = M @ Q1
+            K = Q1.T @ MQ + float(np.mean(np.diag(M))) * np.eye(r)
+            B = 0.5 * (Q1 @ K) - MQ
+            Mt = dsyr2k(1.0, Q1, B, beta=1.0, c=np.array(M, order="F"),
+                        overwrite_c=True)
+            scale = self.diag_max = float(np.abs(np.diag(Mt)).max())
+            self.shift = 0.0
+            while True:
+                try:
+                    with np.errstate(all="ignore"):
+                        shifted = Mt + self.shift * np.eye(len(Mt)) if self.shift else Mt
+                        self.cho = sla.cho_factor(shifted, check_finite=False)
+                    if not np.isfinite(np.diag(self.cho[0])).all():
+                        raise np.linalg.LinAlgError("non-finite Schur factor")
+                    break
+                except np.linalg.LinAlgError:
+                    self.shift = 1e-14 * scale if not self.shift else 100.0 * self.shift
+                    if self.shift > 1e-4 * scale:
+                        raise
+
+        def project(self, v):
+            return v - Q1 @ (Q1.T @ v)
+
+        def multipliers(self, v):
+            dnu = np.zeros(E.shape[0])
+            dnu[piv[:r]] = sla.solve_triangular(
+                R11, np.asarray(Q1.T @ v, dtype=float)
+            )
+            return dnu
+
+        def precond(self, w):
+            with np.errstate(all="ignore"):
+                x = sla.cho_solve(self.cho, w, check_finite=False)
+            return self.project(x)
+
+        def solve(self, rhs1, r_e):
+            dy = Q1 @ sla.solve_triangular(R11, r_e[piv[:r]], trans="T")
+            dy += self.precond(self.project(rhs1 - self.M @ dy))
+            return dy, self.multipliers(self.M @ dy - rhs1), 0.0
+
+    return Factor
+
+
+class TestBlockAngularNewton:
+    @pytest.mark.parametrize("prob, method, k, sizes, linking", [
+        (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3, [210] * 6, True),
+        (gen_reznick_sparse_chain(5, 2), "cs", 6, [169] * 5, False),
+        (gen_overlap_chain(8, 1), "epigraph", 3, [324], False),
+        # 80 linking rows across 3 measures: merged into one component
+        (gen_unit_ball_mix(), "signsym", 4, [315], False),
+    ], ids=["rand-srfo-dense", "reznick-sparse-cs", "overlap-epigraph",
+            "unit-ball-mix-signsym"])
+    def test_components_and_merge(self, prob, method, k, sizes, linking):
+        sf = to_standard_form(build(prob, method, k))
+        _, ba = schur_structure(sf)
+        assert list(ba.sizes) == sizes
+        assert sorted(np.concatenate(ba.vars)) == list(range(sf.num_vars))
+        assert bool(ba.r_L) == linking
+        if method == "cs":
+            # one intra row per measure, nothing linking them
+            assert ba.r_I == sf.num_eq == len(sizes)
+
+    @pytest.mark.parametrize("prob, method, k", [
+        (gen_reznick_chain(6, 2), "signsym", 6),
+        (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3),
+    ], ids=["reznick-chain-signsym", "rand-srfo-dense"])
+    def test_direction_matches_bordered_solve(self, prob, method, k):
+        sf = to_standard_form(build(prob, method, k))
+        ba, buf, M = first_iterate_schur(sf)
+        assert len(ba.sizes) > 1 and ba.r_L > 0
+        E = sf.eq_mat.toarray()
+        m, nf = E.shape[1], E.shape[0]
+        rhs1 = seeded_rng(5).normal(size=m)
+        r_e = sf.eq_rhs
+        kkt = np.block([[M, -E.T], [E, np.zeros((nf, nf))]])
+        ref = np.linalg.solve(kkt, np.concatenate([rhs1, r_e]))
+        dy, dnu, _ = sdp._BlockAngularFactor(ba, buf).solve(rhs1, r_e)
+        assert np.linalg.norm(dy - ref[:m]) <= 1e-9 * np.linalg.norm(ref[:m])
+        assert np.linalg.norm(dnu - ref[m:]) <= 1e-9 * np.linalg.norm(ref[m:])
+
+    def test_linking_rows_solve_reaches_tolerance(self):
+        # six measures tied by five linking rows: the range-space
+        # correction is not backward stable, and without checking its
+        # residual the solve stalls near_optimal with a growing dual residual
+        sf = to_standard_form(build(gen_rand_srfo(6, 4, 3, 0.2, 1), "signsym", 3))
+        rep = solve_internal(sf, tol=1e-8)
+        facts = (rep.status, rep.gap, rep.pinf, rep.dinf, rep.iterations)
+        assert rep.schur_blocks == (80, 80, 80, 80, 80, 130)
+        assert rep.status == "optimal", facts
+        assert abs(reported_bound(rep) + 6.0) <= 1e-6, facts
+
+    def test_schur_assembly_matches_gathered_products(self):
+        # the per-block broadcast W F W against the earlier form, which
+        # gathered one copy of W per decision variable: bit for bit
+        sf = to_standard_form(build(gen_reznick_chain(6, 2), "signsym", 6))
+        groups, ba = schur_structure(sf)
+        rng = seeded_rng(9)
+        m = sf.num_vars
+        for g, place in zip(groups, ba.place):
+            A = rng.normal(size=(g.B, g.s, g.s))
+            W = A @ np.transpose(A, (0, 2, 1)) + np.eye(g.s)
+            mats = ba.views(np.zeros(ba.offsets[-1]))
+            g.add_schur(W, mats, place)
+            got = np.zeros((m, m))
+            for vs, Mk in zip(ba.vars, mats):
+                got[np.ix_(vs, vs)] = Mk
+            counts = np.diff(g.row_splits)
+            Wrows = W[np.repeat(np.arange(g.B), counts)]
+            T = np.matmul(Wrows, np.matmul(g.Fcat, Wrows))
+            want = np.zeros((m, m))
+            for b in range(g.B):
+                lo, hi = g.row_splits[b], g.row_splits[b + 1]
+                Mloc = g.Fm_list[b] @ T[lo:hi].reshape(hi - lo, g.s * g.s).T
+                idx = g.vars_list[b]
+                want[np.ix_(idx, idx)] += Mloc
+            assert np.array_equal(got, want)
+
+    def test_one_component_gives_dense_iterates(self, monkeypatch):
+        sf = to_standard_form(build(gen_overlap_chain(8, 1), "epigraph", 3))
+        split = solve_internal(sf)
+        monkeypatch.setattr(
+            sdp, "_BlockAngularFactor", dense_reference_factor(sf.eq_mat)
+        )
+        dense = solve_internal(sf)
+        assert split.schur_blocks == (324,)
+        assert split.status == dense.status == "optimal"
+        assert split.iterations == dense.iterations
+        assert (split.primal, split.dual) == (dense.primal, dense.dual)
+        assert np.array_equal(split.y, dense.y)
 
 
 class TestSdpaFormat:
