@@ -7,19 +7,13 @@ __version__ = "0.1.0"
 from .corrsparse import CliqueStructure, build_cliques, ensure_ball_constraints
 from .families import FAMILIES, rayleigh_to_real
 from .oracle import GridOracleResult, grid_oracle
-from .poly import Monomial, MonomialBasis, Polynomial, basis, moment_index
+from .poly import Monomial, MonomialBasis, Polynomial, basis
 from .problem import Constraint, SrfoProblem, parse, serialize
 from .relax import (
     METHODS,
     RelaxationSdp,
-    RelaxationSpec,
     build,
-    build_cs,
-    build_cs_signsym,
-    build_dense,
     build_epigraph,
-    build_signsym,
-    extract_bound,
     flatness_certificate,
     min_order,
     solve_relaxation,
@@ -53,7 +47,6 @@ __all__ = [
     "MonomialBasis",
     "Polynomial",
     "RelaxationSdp",
-    "RelaxationSpec",
     "SdpStandardForm",
     "SignSymmetryGroup",
     "SolveReport",
@@ -61,20 +54,14 @@ __all__ = [
     "basis",
     "build",
     "build_cliques",
-    "build_cs",
-    "build_cs_signsym",
-    "build_dense",
     "build_epigraph",
-    "build_signsym",
     "ensure_ball_constraints",
     "export_sdpa",
-    "extract_bound",
     "flatness_certificate",
     "grid_oracle",
     "import_sdpa_solution",
     "in_closure",
     "min_order",
-    "moment_index",
     "parse",
     "rayleigh_to_real",
     "read_sdpa",

@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from . import __version__
 from .corrsparse import build_cliques, ensure_ball_constraints
@@ -37,18 +36,6 @@ EXIT_BUILD = 4
 EXIT_SOLVE = 5
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    method: str
-    orders: list
-    ratio_order: tuple | None
-    solver: str
-    tol: float
-    maximize: bool
-    out: str | None
-    psd_cap: int | None
 
 
 def _load_problem(path, maximize=False):
@@ -123,31 +110,23 @@ def cmd_solve(args):
     ratio_order = None
     if args.ratio_order:
         ratio_order = tuple(int(t) - 1 for t in args.ratio_order.split(","))
-    psd_cap = args.psd_cap
-    if psd_cap is None and "RATSOS_PSD_CAP" in os.environ:
-        psd_cap = int(os.environ["RATSOS_PSD_CAP"])
-    cfg = RunConfig(
-        method=args.method,
-        orders=_parse_orders(args, prob, args.method),
-        ratio_order=ratio_order,
-        solver=args.solver,
-        tol=args.tol,
-        maximize=args.maximize,
-        out=args.out,
-        psd_cap=psd_cap,
-    )
+    orders = _parse_orders(args, prob, args.method)
 
-    if cfg.solver == "sdpa-export":
-        rsdp = build(prob, cfg.method, cfg.orders[0], ratio_order=cfg.ratio_order)
+    if args.solver == "sdpa-export":
+        if args.orders:
+            raise BuildError(
+                "sdpa-export writes one relaxation: give --order, not --orders"
+            )
+        rsdp = build(prob, args.method, orders[0], ratio_order=ratio_order)
         sf = to_standard_form(rsdp)
-        target = cfg.out or (os.path.splitext(args.file)[0] + ".dat-s")
+        target = args.out or (os.path.splitext(args.file)[0] + ".dat-s")
         export_sdpa(sf, target)
         _emit(
             {
                 "schema": SCHEMA_VERSION,
                 "problem": prob.name or "<unnamed>",
-                "method": cfg.method,
-                "k": cfg.orders[0],
+                "method": args.method,
+                "k": orders[0],
                 "status": "exported",
                 "path": target,
                 "variables": sf.num_vars,
@@ -159,24 +138,19 @@ def cmd_solve(args):
 
     def run(k):
         return solve_relaxation(
-            prob,
-            cfg.method,
-            k,
-            ratio_order=cfg.ratio_order,
-            tol=cfg.tol,
-            psd_cap=cfg.psd_cap,
+            prob, args.method, k, ratio_order=ratio_order, tol=args.tol
         )
 
-    if len(cfg.orders) == 1:
-        results = [run(cfg.orders[0])]
+    if len(orders) == 1:
+        results = [run(orders[0])]
     else:
-        workers = min(len(cfg.orders), os.cpu_count() or 1)
+        workers = min(len(orders), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cfg.orders))
+            results = list(pool.map(run, orders))
 
     payloads = [_result_payload(prob, res) for res in results]
     _emit(payloads[0] if len(payloads) == 1 else
-          {"schema": SCHEMA_VERSION, "sweep": payloads}, cfg.out)
+          {"schema": SCHEMA_VERSION, "sweep": payloads}, args.out)
     ok = all(res.report.ok() for res in results)
     return 0 if ok else EXIT_SOLVE_NOT_OK
 
@@ -399,7 +373,6 @@ def make_parser():
         help="treat the file's objective as a maximization",
     )
     ps.add_argument("--out", default=None)
-    ps.add_argument("--psd-cap", dest="psd_cap", type=int, default=None)
     ps.set_defaults(func=cmd_solve)
 
     pa = sub.add_parser("analyze", help="report symmetry and clique structure")

@@ -10,6 +10,7 @@ indexing.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -26,7 +27,7 @@ def mono_degree(mono):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def grlex_key(mono):
@@ -264,18 +265,6 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {' + '.join(parts)}{tail})"
 
 
-def poly_add(f, g):
-    return f + g
-
-
-def poly_mul(f, g):
-    return f * g
-
-
-def poly_scale(f, c):
-    return f * float(c)
-
-
 class MonomialBasis:
     """All monomials supported on a variable subset, up to a total degree.
 
@@ -353,23 +342,3 @@ def basis(nvars, indices, order):
 
 def full_basis(nvars, order):
     return basis(nvars, range(nvars), order)
-
-
-def moment_index(beta, gamma, f):
-    """Linear functional giving entry (beta, gamma) of a localizing matrix.
-
-    Returns [(monomial, coefficient), ...] meaning sum_a f_a * y[a+beta+gamma];
-    with f = 1 this is the plain moment-matrix entry y[beta+gamma].
-    """
-    if len(beta) != len(gamma) or len(beta) != f.nvars:
-        raise DimensionError("beta/gamma/f variable counts differ")
-    base = mono_mul(beta, gamma)
-    out = {}
-    for mono, coef in f.terms.items():
-        key = mono_mul(base, mono)
-        s = out.get(key, 0.0) + coef
-        if s == 0.0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return sorted(out.items(), key=lambda kv: grlex_key(kv[0]))

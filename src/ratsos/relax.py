@@ -1,13 +1,21 @@
 """Compile sum-of-ratios instances into block moment SDPs.
 
-Five builders share one assembly engine:
+The four ratio methods give every ratio its own pseudo-moment vector and
+differ on two independent axes:
 
-  dense       one pseudo-moment vector per ratio on the full variable set
-  signsym     dense plus per-measure sign-symmetry masks (block splits and
-              variable restriction to the parity closure)
-  cs          per-clique measures with overlap linking equalities
-  cs-signsym  cs plus the global sign-symmetry mask
-  epigraph    lifted polynomial problem with one shared moment vector
+  split  one measure per clique, on the clique's variables and constraints
+         and linked to the overlapping cliques on their shared variables,
+         or one measure per ratio on all variables, linked to the first
+  mask   no sign-symmetry mask, one mask per measure, or the global mask
+         (block splits and variable restriction to the parity closure)
+
+  dense       no split, no mask
+  signsym     no split, per-measure mask
+  cs          split, no mask
+  cs-signsym  split, global mask
+
+The epigraph baseline is built alongside: the lifted polynomial problem
+with one shared moment vector.
 
 The moment form is assembled once per method; the solver's dual value
 certifies the SOS side, so the dual programs are never built separately.
@@ -34,23 +42,20 @@ from .sdp import PsdBlockData, SolveReport, solve_internal, to_standard_form
 from .signsym import (
     SignSymmetryGroup,
     block_partition,
+    global_support,
     in_closure,
     sign_symmetries,
     support_sets,
 )
 
-METHODS = ("dense", "signsym", "cs", "cs-signsym", "epigraph")
-
-
-@dataclass(frozen=True)
-class RelaxationSpec:
-    method: str
-    order: int
-    ratio_order: tuple | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise BuildError(f"unknown method {self.method!r}")
+# ratio method -> (one measure per clique, sign-symmetry mask)
+_AXES = {
+    "dense": (False, None),
+    "signsym": (False, "measure"),
+    "cs": (True, None),
+    "cs-signsym": (True, "global"),
+}
+METHODS = (*_AXES, "epigraph")
 
 
 class QuotientReducer:
@@ -153,6 +158,13 @@ class QuotientReducer:
         return out
 
 
+def _expand(reducer, mono):
+    """A moment as kept-basis moments; itself when there is no reducer."""
+    if reducer is None:
+        return ((mono, 1.0),)
+    return reducer.reduce(mono)
+
+
 @dataclass
 class MeasureLayout:
     label: str
@@ -162,14 +174,6 @@ class MeasureLayout:
     index: dict
     q_scaled: Polynomial | None = None
     reducer: QuotientReducer | None = None
-
-    def global_id(self, mono):
-        return self.index[mono]
-
-    def expand(self, mono):
-        if self.reducer is None:
-            return ((mono, 1.0),)
-        return self.reducer.reduce(mono)
 
     def __len__(self):
         return len(self.monomials)
@@ -189,7 +193,6 @@ class RelaxationSdp:
         self.block_measure = []
         self.block_kind = []
         self.eq_rows = []
-        self.eq_keys = []
         self.objective = None
         self.num_decision = 0
         self.maximize = problem.maximize
@@ -203,9 +206,8 @@ class RelaxationSdp:
         self.block_measure.append(measure)
         self.block_kind.append(kind)
 
-    def add_eq(self, cols, vals, rhs, key):
+    def add_eq(self, cols, vals, rhs):
         self.eq_rows.append((tuple(cols), tuple(vals), float(rhs)))
-        self.eq_keys.append(key)
 
     def block_size_histogram(self):
         return dict(sorted(Counter(b.size for b in self.blocks).items()))
@@ -213,14 +215,14 @@ class RelaxationSdp:
     def moment_matrix(self, report, measure, order):
         """Masked moment matrix of one measure at a given order."""
         lay = self.measures[measure]
-        mb = basis(self.problem_extended_nvars(), lay.var_indices, order)
+        mb = basis(len(self.var_scale), lay.var_indices, order)
         M = np.zeros((len(mb), len(mb)))
         y = report.y
         for a, beta in enumerate(mb):
             for b in range(a, len(mb)):
                 val = 0.0
                 known = True
-                for m2, c2 in lay.expand(mono_mul(beta, mb[b])):
+                for m2, c2 in _expand(lay.reducer, mono_mul(beta, mb[b])):
                     gid = lay.index.get(m2)
                     if gid is None:
                         known = False
@@ -230,15 +232,12 @@ class RelaxationSdp:
                     M[a, b] = M[b, a] = val
         return M
 
-    def problem_extended_nvars(self):
-        return len(self.var_scale)
-
 
 def _half_deg(poly):
     return (poly.degree() + 1) // 2
 
 
-def min_order(prob, method="dense", cs=None):
+def min_order(prob, method="dense"):
     """Smallest admissible relaxation order for a method on a problem."""
     if method == "epigraph":
         degs = [1]
@@ -305,10 +304,38 @@ class _Plan:
             return False
         return self.reducer is None or self.reducer.is_kept(mono)
 
-    def expand(self, mono):
-        if self.reducer is None:
-            return ((mono, 1.0),)
-        return self.reducer.reduce(mono)
+
+def _scaled_plan(label, vars_, p, q, cons, group, tau, mass_norm):
+    """One ratio measure in the scaled variables, its quotient absorbed."""
+    p = p.rescale_vars(tau)
+    q = q.rescale_vars(tau)
+    cons = [(g.rescale_vars(tau), e, nm) for g, e, nm in cons]
+    # p/q is invariant under joint positive scaling: "anchor" divides by
+    # the denominator's value at a near-feasible point (keeps measure
+    # masses near one), "coef" by the largest coefficient (keeps row
+    # scales near one); degenerate instances can prefer either, so the
+    # driver may try both
+    kappa = None
+    if mass_norm == "anchor":
+        qa = q.evaluate(_anchor_point(len(tau), cons))
+        if abs(qa) > 1e-8 * max(abs(cq) for cq in q.terms.values()):
+            kappa = 1.0 / abs(qa)
+    elif mass_norm == "coef":
+        kappa = 1.0 / max(abs(cq) for cq in q.terms.values())
+    if kappa is not None:
+        p = p * kappa
+        q = q * kappa
+    # absorb diagonal-quadric equalities into the measure's quotient
+    # basis; anything else stays as localizing equality rows
+    reducer = QuotientReducer(len(tau))
+    kept_cons = []
+    for g, e, nm in cons:
+        if e and reducer.try_add(g) is not None:
+            continue
+        kept_cons.append((g, e, nm))
+    if not reducer.relations:
+        reducer = None
+    return _Plan(label, vars_, p, q, kept_cons, group, reducer)
 
 
 def _block_basis(plan, nvars, order):
@@ -325,76 +352,55 @@ def _block_basis(plan, nvars, order):
 
 
 def _emit_measure_blocks(rsdp, mi, plan, k, nvars):
+    """Moment block, localizing blocks and localizing equality rows of a plan."""
     lay = rsdp.measures[mi]
-    mbasis = _block_basis(plan, nvars, k)
-    classes = (
-        block_partition(plan.group, mbasis).classes
-        if plan.group is not None
-        else (tuple(range(len(mbasis))),)
-    )
-    for ci, cls in enumerate(classes):
-        rows, cols, vids, coefs = [], [], [], []
-        for a in range(len(cls)):
-            beta = mbasis[cls[a]]
-            for b in range(a, len(cls)):
-                mono = mono_mul(beta, mbasis[cls[b]])
-                for m2, c2 in plan.expand(mono):
-                    rows.append(a)
-                    cols.append(b)
-                    vids.append(lay.index[m2])
-                    coefs.append(c2)
-        rsdp.add_block(
-            _psd_block(f"{plan.label}:moment:{ci}", len(cls), rows, cols, vids, coefs),
-            mi,
-            "moment",
-        )
+    one = (((0,) * nvars, 1.0),)
+    _emit_localizing(rsdp, mi, plan, one, _block_basis(plan, nvars, k),
+                     "moment", "moment")
     for g, is_eq, gname in plan.cons:
         dg = _half_deg(g)
         if k < dg:
             raise OrderTooSmallError(k, dg)
-        sub = _block_basis(plan, nvars, k - dg)
-        if is_eq:
-            for sigma in _block_basis(plan, nvars, 2 * (k - dg)):
-                if plan.group is not None and not in_closure(plan.group, sigma):
-                    continue
-                acc = {}
-                for alpha, ca in g.sorted_terms():
-                    for m2, c2 in plan.expand(mono_mul(alpha, sigma)):
-                        gid = lay.index[m2]
-                        acc[gid] = acc.get(gid, 0.0) + ca * c2
-                cols_ = sorted(acc)
-                vals_ = [acc[gid] for gid in cols_]
-                if any(v != 0.0 for v in vals_):
-                    rsdp.add_eq(
-                        cols_, vals_, 0.0, ("loc-eq", plan.label, gname, sigma)
-                    )
-        else:
-            classes = (
-                block_partition(plan.group, sub).classes
-                if plan.group is not None
-                else (tuple(range(len(sub))),)
-            )
-            for ci, cls in enumerate(classes):
-                rows, cols, vids, coefs = [], [], [], []
-                for a in range(len(cls)):
-                    beta = sub[cls[a]]
-                    for b in range(a, len(cls)):
-                        gamma = sub[cls[b]]
-                        base = mono_mul(beta, gamma)
-                        for alpha, ca in g.sorted_terms():
-                            for m2, c2 in plan.expand(mono_mul(alpha, base)):
-                                rows.append(a)
-                                cols.append(b)
-                                vids.append(lay.index[m2])
-                                coefs.append(ca * c2)
-                rsdp.add_block(
-                    _psd_block(
-                        f"{plan.label}:loc[{gname}]:{ci}",
-                        len(cls), rows, cols, vids, coefs,
-                    ),
-                    mi,
-                    "localizing",
-                )
+        terms = g.sorted_terms()
+        if not is_eq:
+            _emit_localizing(rsdp, mi, plan, terms,
+                             _block_basis(plan, nvars, k - dg),
+                             f"loc[{gname}]", "localizing")
+            continue
+        for sigma in _block_basis(plan, nvars, 2 * (k - dg)):
+            if plan.group is not None and not in_closure(plan.group, sigma):
+                continue
+            cols, vals = _riesz_cols(lay, terms, sigma)
+            if any(v != 0.0 for v in vals):
+                rsdp.add_eq(cols, vals, 0.0)
+
+
+def _emit_localizing(rsdp, mi, plan, terms, sub, name, kind):
+    """Localizing matrix of g (its sorted terms) on basis `sub`, one PSD block
+    per sign-symmetry class; g = 1 gives the moment matrix."""
+    index = rsdp.measures[mi].index
+    classes = (
+        block_partition(plan.group, sub).classes
+        if plan.group is not None
+        else (tuple(range(len(sub))),)
+    )
+    for ci, cls in enumerate(classes):
+        rows, cols, vids, coefs = [], [], [], []
+        for a in range(len(cls)):
+            beta = sub[cls[a]]
+            for b in range(a, len(cls)):
+                base = mono_mul(beta, sub[cls[b]])
+                for alpha, ca in terms:
+                    for m2, c2 in _expand(plan.reducer, mono_mul(alpha, base)):
+                        rows.append(a)
+                        cols.append(b)
+                        vids.append(index[m2])
+                        coefs.append(ca * c2)
+        rsdp.add_block(
+            _psd_block(f"{plan.label}:{name}:{ci}", len(cls), rows, cols, vids, coefs),
+            mi,
+            kind,
+        )
 
 
 def _psd_block(label, size, rows, cols, vids, coefs):
@@ -411,225 +417,113 @@ def _psd_block(label, size, rows, cols, vids, coefs):
     )
 
 
-def _riesz_cols(lay, q, alpha):
-    """Columns and values of L_y(x^alpha * q) in one measure's layout."""
+def _riesz_cols(lay, terms, alpha):
+    """Columns and values of L_y(x^alpha * f) in one measure's layout, for f
+    given by its sorted terms."""
     acc = {}
-    for delta, cq in q.sorted_terms():
-        for m2, c2 in lay.expand(mono_mul(alpha, delta)):
+    for delta, cf in terms:
+        for m2, c2 in _expand(lay.reducer, mono_mul(alpha, delta)):
             gid = lay.index[m2]
-            s = acc.get(gid, 0.0) + cq * c2
-            acc[gid] = s
+            acc[gid] = acc.get(gid, 0.0) + cf * c2
     cols = sorted(acc)
     return cols, [acc[gid] for gid in cols]
 
 
-def _assemble_ratio_sdp(prob, k, plans, linking_pairs, normalize_all, method,
-                        mass_norm="anchor"):
-    """Shared engine for the four ratio-indexed methods.
+def _ratio_relaxation(prob, method, k, ratio_order, cs, mass_norm):
+    """One measure per ratio; `_AXES[method]` gives its split and its mask.
 
-    `linking_pairs` yields (i, j, alphas): rows L_{y_i}(x^a q_i) =
-    L_{y_j}(x^a q_j).  Normalization is either every measure or the first.
+    The split decides each measure's variables and constraints, and which
+    measures are linked on which variables by rows
+    L_{y_i}(x^a q_i) = L_{y_j}(x^a q_j).  Without it every measure is linked
+    to the first and only the first is normalized; with it every clique is
+    normalized, so a = 0 is dropped from the linking rows, where it would
+    repeat two normalization rows.  The mask decides each measure's group,
+    and a linking row is kept only for a in the closure of the group of i.
     """
+    split, mask = _AXES[method]
     n = prob.nvars
-    tau = _scale_factors(prob)
-    d_min = min_order(prob, "dense")
-    if k < d_min:
-        raise OrderTooSmallError(k, d_min)
-    rsdp = RelaxationSdp(method, k, d_min, prob, tau)
-
-    scaled_plans = []
-    for plan in plans:
-        p = plan.p.rescale_vars(tau)
-        q = plan.q.rescale_vars(tau)
-        cons = [(g.rescale_vars(tau), e, nm) for g, e, nm in plan.cons]
-        # p/q is invariant under joint positive scaling: "anchor" divides by
-        # the denominator's value at a near-feasible point (keeps measure
-        # masses near one), "coef" by the largest coefficient (keeps row
-        # scales near one); degenerate instances can prefer either, so the
-        # driver may try both
-        kappa = None
-        if mass_norm == "anchor":
-            anchor = _anchor_point(n, cons)
-            qa = q.evaluate(anchor)
-            if abs(qa) > 1e-8 * max(abs(cq) for cq in q.terms.values()):
-                kappa = 1.0 / abs(qa)
-        elif mass_norm == "coef":
-            kappa = 1.0 / max(abs(cq) for cq in q.terms.values())
-        if kappa is not None:
-            p = p * kappa
-            q = q * kappa
-        # absorb diagonal-quadric equalities into the measure's quotient
-        # basis; anything else stays as localizing equality rows
-        reducer = QuotientReducer(n)
-        kept_cons = []
-        for g, e, nm in cons:
-            if e and reducer.try_add(g) is not None:
-                continue
-            kept_cons.append((g, e, nm))
-        if not reducer.relations:
-            reducer = None
-        scaled_plans.append(
-            _Plan(plan.label, plan.vars, p, q, kept_cons, plan.group, reducer)
-        )
-
-    for plan in scaled_plans:
-        monos = [m for m in basis(n, plan.vars, 2 * k) if plan.keeps(m)]
-        lay = MeasureLayout(
-            label=plan.label,
-            var_indices=plan.vars,
-            monomials=tuple(monos),
-            offset=rsdp.num_decision,
-            index={},
-            q_scaled=plan.q,
-            reducer=plan.reducer,
-        )
-        lay.index = {m: lay.offset + i for i, m in enumerate(monos)}
-        rsdp.add_measure(lay)
-
-    obj = np.zeros(rsdp.num_decision)
-    for mi, plan in enumerate(scaled_plans):
-        lay = rsdp.measures[mi]
-        for mono, c in plan.p.sorted_terms():
-            for m2, c2 in plan.expand(mono):
-                obj[lay.index[m2]] += c * c2
-    rsdp.objective = obj
-
-    for mi, plan in enumerate(scaled_plans):
-        _emit_measure_blocks(rsdp, mi, plan, k, n)
-
-    if normalize_all:
-        targets = range(len(scaled_plans))
-    else:
-        targets = (0,)
-    for mi in targets:
-        lay = rsdp.measures[mi]
-        cols, vals = _riesz_cols(lay, scaled_plans[mi].q, (0,) * n)
-        rsdp.add_eq(cols, vals, 1.0, ("norm", mi))
-
-    for i, j, alphas in linking_pairs:
-        li, lj = rsdp.measures[i], rsdp.measures[j]
-        qi, qj = scaled_plans[i].q, scaled_plans[j].q
-        for alpha in alphas:
-            ci, vi = _riesz_cols(li, qi, alpha)
-            cj, vj = _riesz_cols(lj, qj, alpha)
-            rsdp.add_eq(
-                ci + cj, vi + [-v for v in vj], 0.0, ("link", i, j, alpha)
-            )
-    return rsdp
-
-
-def _ordered_ratios(prob, ratio_order):
     N = prob.num_ratios
     order = list(ratio_order) if ratio_order is not None else list(range(N))
     if sorted(order) != list(range(N)):
         raise BuildError(f"ratio_order {order} is not a permutation of 0..{N - 1}")
+    if split and cs is None:
+        cs = build_cliques(prob)
+    if mask == "measure":
+        supports = support_sets(prob, ratio_order=order)
+        groups = [sign_symmetries(s, n) for s in supports]
+    elif mask == "global":
+        groups = [sign_symmetries(global_support(prob), n)] * N
+    else:
+        groups = [None] * N
+
+    tau = _scale_factors(prob)
+    d_min = min_order(prob)
+    if k < d_min:
+        raise OrderTooSmallError(k, d_min)
+    rsdp = RelaxationSdp(method, k, d_min, prob, tau)
+
     sign = -1.0 if prob.maximize else 1.0
-    return [(sign * prob.ratios[i][0], prob.ratios[i][1]) for i in order], order
-
-
-def build_dense(prob, k, ratio_order=None, mass_norm="anchor"):
-    """Full moment relaxation: one measure per ratio on all variables."""
-    ratios, _ = _ordered_ratios(prob, ratio_order)
-    n = prob.nvars
-    all_vars = tuple(range(n))
     cons = [(c.poly, c.equality, f"g{j + 1}") for j, c in enumerate(prob.constraints)]
-    plans = [
-        _Plan(f"m{i + 1}", all_vars, p, q, list(cons), None)
-        for i, (p, q) in enumerate(ratios)
-    ]
-    q0_deg = ratios[0][1].degree()
-    linking = []
-    for i in range(1, len(ratios)):
-        trunc = 2 * k - max(q0_deg, ratios[i][1].degree())
-        alphas = list(basis(n, all_vars, trunc)) if trunc >= 0 else []
-        linking.append((i, 0, alphas))
-    return _assemble_ratio_sdp(prob, k, plans, linking, False, "dense",
-                               mass_norm=mass_norm)
-
-
-def build_signsym(prob, k, ratio_order=None, mass_norm="anchor"):
-    """Dense relaxation with per-measure sign-symmetry block reduction."""
-    ratios, order = _ordered_ratios(prob, ratio_order)
-    n = prob.nvars
-    all_vars = tuple(range(n))
-    supports = support_sets(prob, ratio_order=order)
-    groups = [sign_symmetries(s, n) for s in supports]
-    cons = [(c.poly, c.equality, f"g{j + 1}") for j, c in enumerate(prob.constraints)]
-    plans = [
-        _Plan(f"m{i + 1}", all_vars, p, q, list(cons), groups[i])
-        for i, (p, q) in enumerate(ratios)
-    ]
-    q0_deg = ratios[0][1].degree()
-    linking = []
-    for i in range(1, len(ratios)):
-        trunc = 2 * k - max(q0_deg, ratios[i][1].degree())
-        alphas = (
-            [m for m in basis(n, all_vars, trunc) if in_closure(groups[i], m)]
-            if trunc >= 0
-            else []
-        )
-        linking.append((i, 0, alphas))
-    return _assemble_ratio_sdp(prob, k, plans, linking, False, "signsym",
-                               mass_norm=mass_norm)
-
-
-def _cs_plans(prob, cs, group):
-    ratios = [
-        ((-1.0 if prob.maximize else 1.0) * p, q) for p, q in prob.ratios
-    ]
     plans = []
-    for i, (p, q) in enumerate(ratios):
-        cons = [
-            (prob.constraints[j].poly, prob.constraints[j].equality, f"g{j + 1}")
-            for j in cs.assign[i]
-        ]
-        plans.append(_Plan(f"m{i + 1}", cs.cliques[i], p, q, cons, group))
-    return plans, ratios
+    for i, r in enumerate(order):
+        p, q = prob.ratios[r]
+        if split:
+            vars_, own = cs.cliques[i], [cons[j] for j in cs.assign[i]]
+        else:
+            vars_, own = tuple(range(n)), cons
+        plans.append(
+            _scaled_plan(f"m{i + 1}", vars_, sign * p, q, own, groups[i], tau,
+                         mass_norm)
+        )
 
+    for plan in plans:
+        monos = tuple(m for m in basis(n, plan.vars, 2 * k) if plan.keeps(m))
+        offset = rsdp.num_decision
+        rsdp.add_measure(MeasureLayout(
+            label=plan.label,
+            var_indices=plan.vars,
+            monomials=monos,
+            offset=offset,
+            index={m: offset + i for i, m in enumerate(monos)},
+            q_scaled=plan.q,
+            reducer=plan.reducer,
+        ))
 
-def _cs_linking(prob, cs, ratios, k, group):
-    n = prob.nvars
+    obj = np.zeros(rsdp.num_decision)
+    for lay, plan in zip(rsdp.measures, plans):
+        for mono, c in plan.p.sorted_terms():
+            for m2, c2 in _expand(plan.reducer, mono):
+                obj[lay.index[m2]] += c * c2
+    rsdp.objective = obj
+
+    for mi, plan in enumerate(plans):
+        _emit_measure_blocks(rsdp, mi, plan, k, n)
+
     zero = (0,) * n
-    linking = []
-    for i in range(cs.num_cliques):
-        for j in cs.U[i]:
-            trunc = 2 * k - max(ratios[i][1].degree(), ratios[j][1].degree())
-            if trunc < 0:
-                alphas = []
-            else:
-                # alpha = 0 duplicates the two normalization rows exactly
-                # (every clique is normalized), so it is dropped here
-                alphas = [
-                    m
-                    for m in basis(n, cs.shared_vars(i, j), trunc)
-                    if m != zero
-                    and (group is None or in_closure(group, m))
-                ]
-            linking.append((i, j, alphas))
-    return linking
+    for mi in range(N) if split else (0,):
+        cols, vals = _riesz_cols(rsdp.measures[mi], plans[mi].q.sorted_terms(), zero)
+        rsdp.add_eq(cols, vals, 1.0)
 
-
-def build_cs(prob, k, cs=None, mass_norm="anchor"):
-    """Correlative-sparse relaxation: per-clique measures, overlap linking."""
-    if cs is None:
-        cs = build_cliques(prob)
-    plans, ratios = _cs_plans(prob, cs, None)
-    linking = _cs_linking(prob, cs, ratios, k, None)
-    return _assemble_ratio_sdp(prob, k, plans, linking, True, "cs",
-                               mass_norm=mass_norm)
-
-
-def build_cs_signsym(prob, k, cs=None, mass_norm="anchor"):
-    """Correlative sparsity combined with the global sign-symmetry mask."""
-    if cs is None:
-        cs = build_cliques(prob)
-    from .signsym import global_support
-
-    group = sign_symmetries(global_support(prob), prob.nvars)
-    plans, ratios = _cs_plans(prob, cs, group)
-    linking = _cs_linking(prob, cs, ratios, k, group)
-    return _assemble_ratio_sdp(prob, k, plans, linking, True, "cs-signsym",
-                               mass_norm=mass_norm)
+    if split:
+        pairs = [(i, j, cs.shared_vars(i, j)) for i in range(N) for j in cs.U[i]]
+    else:
+        pairs = [(i, 0, tuple(range(n))) for i in range(1, N)]
+    for i, j, shared in pairs:
+        trunc = 2 * k - max(prob.ratios[order[i]][1].degree(),
+                            prob.ratios[order[j]][1].degree())
+        if trunc < 0:
+            continue
+        li, lj = rsdp.measures[i], rsdp.measures[j]
+        ti, tj = plans[i].q.sorted_terms(), plans[j].q.sorted_terms()
+        for alpha in basis(n, shared, trunc):
+            if split and alpha == zero:
+                continue
+            if groups[i] is not None and not in_closure(groups[i], alpha):
+                continue
+            ci, vi = _riesz_cols(li, ti, alpha)
+            cj, vj = _riesz_cols(lj, tj, alpha)
+            rsdp.add_eq(ci + cj, vi + [-v for v in vj], 0.0)
+    return rsdp
 
 
 def build_epigraph(prob, k, cs=None):
@@ -750,36 +644,29 @@ def build_epigraph(prob, k, cs=None):
         _emit_measure_blocks(rsdp, 0, plan, k, ne)
 
     zero = (0,) * ne
-    rsdp.add_eq([lay.index[zero]], [1.0], 1.0, ("norm", 0))
+    rsdp.add_eq([lay.index[zero]], [1.0], 1.0)
     return rsdp
 
 
-BUILDERS = {
-    "dense": build_dense,
-    "signsym": build_signsym,
-    "cs": build_cs,
-    "cs-signsym": build_cs_signsym,
-    "epigraph": build_epigraph,
-}
-
-
 def build(prob, method, k, ratio_order=None, cs=None, mass_norm="anchor"):
+    """Moment relaxation of order k by one of METHODS.
+
+    `ratio_order` (a permutation of the ratio indices) orders the measures of
+    `dense` and `signsym`, the methods without a clique split; `cs` replaces
+    the cliques derived from the problem; `mass_norm` ("anchor" or "coef")
+    picks the per-ratio scaling of the ratio methods.
+    """
+    if method not in METHODS:
+        raise BuildError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    if ratio_order is not None and method not in ("dense", "signsym"):
+        raise BuildError(f"a ratio order applies to dense and signsym, not {method}")
     if method == "epigraph":
         return build_epigraph(prob, k, cs=cs)
-    if method in ("dense", "signsym"):
-        return BUILDERS[method](prob, k, ratio_order=ratio_order, mass_norm=mass_norm)
-    return BUILDERS[method](prob, k, cs=cs, mass_norm=mass_norm)
+    return _ratio_relaxation(prob, method, k, ratio_order, cs, mass_norm)
 
 
 # ---------------------------------------------------------------------------
 # solution handling
-
-
-def extract_bound(report):
-    """Moment-side and SOS-side objective values of a usable solve."""
-    if not report.ok():
-        raise SolveError(f"solver status {report.status}: no usable bound")
-    return report.primal, report.dual
 
 
 def reported_bound(report, maximize=False):
@@ -885,7 +772,6 @@ def solve_relaxation(
     cs=None,
     tol=1e-8,
     max_iter=200,
-    psd_cap=None,
     rank_tol=1e-6,
 ):
     """Build, solve and package one relaxation; the pipeline used by the CLI.
@@ -900,7 +786,7 @@ def solve_relaxation(
     sf = to_standard_form(rsdp)
     build_ms = 1000.0 * (time.perf_counter() - t0)
     t1 = time.perf_counter()
-    report = solve_internal(sf, tol=tol, max_iter=max_iter, psd_cap=psd_cap)
+    report = solve_internal(sf, tol=tol, max_iter=max_iter)
     solve_ms = 1000.0 * (time.perf_counter() - t1)
 
     def quality(rep):
@@ -913,9 +799,7 @@ def solve_relaxation(
             prob, method, k, ratio_order=ratio_order, cs=cs, mass_norm="coef"
         )
         sf_alt = to_standard_form(rsdp_alt)
-        report_alt = solve_internal(
-            sf_alt, tol=tol, max_iter=max_iter, psd_cap=psd_cap
-        )
+        report_alt = solve_internal(sf_alt, tol=tol, max_iter=max_iter)
         solve_ms += 1000.0 * (time.perf_counter() - t2)
         if quality(report_alt) < quality(report):
             rsdp, sf, report = rsdp_alt, sf_alt, report_alt

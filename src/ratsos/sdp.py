@@ -125,7 +125,7 @@ def _dedupe_rows(rows_cols_vals):
     return keep
 
 
-def to_standard_form(rsdp, fold_unit_blocks=True, dedupe=True):
+def to_standard_form(rsdp, dedupe=True):
     """Repack a relaxation into solver form.
 
     Size-1 PSD blocks are folded into one diagonal block; exact duplicate
@@ -139,7 +139,7 @@ def to_standard_form(rsdp, fold_unit_blocks=True, dedupe=True):
     diag_const = []
     ndiag = 0
     for blk in rsdp.blocks:
-        if fold_unit_blocks and blk.size == 1:
+        if blk.size == 1:
             for v, c in zip(blk.varids, blk.coefs):
                 diag_pos.append(ndiag)
                 diag_var.append(v)

@@ -148,6 +148,21 @@ class TestSolve:
         payload = json.loads(target.read_text())
         assert payload["schema"] == 1
 
+    def test_ratio_order_rejected_for_split_methods(self, capsys, ball_mix_file):
+        for method in ("cs", "cs-signsym", "epigraph"):
+            code = main(["solve", ball_mix_file, "--method", method,
+                         "--order", "2", "--ratio-order", "2,1,3"])
+            assert code == EXIT_BUILD, method
+            assert "ratio order" in capsys.readouterr().err
+
+    def test_sdpa_export_rejects_orders(self, capsys, trivial_file, tmp_path):
+        target = tmp_path / "out.dat-s"
+        code = main(["solve", trivial_file, "--solver", "sdpa-export",
+                     "--orders", "1..2", "--out", str(target)])
+        assert code == EXIT_BUILD
+        assert "--orders" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_psd_cap_env_override(self, capsys, ball_mix_file, monkeypatch):
         monkeypatch.setenv("RATSOS_PSD_CAP", "5")
         code = main(["solve", ball_mix_file, "--method", "dense", "--order", "2"])
@@ -241,3 +256,24 @@ class TestBench:
 
     def test_unknown_table(self, capsys):
         assert main(["bench", "table99"]) == EXIT_BUILD
+
+
+class TestBenchTracer:
+    def test_tracer_targets_exist(self, monkeypatch):
+        # the benchmark tracer wraps these names on the modules' globals;
+        # a rename would break `bench/run.py --trace 1` silently
+        import importlib
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        # its dataclasses resolve annotations through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, spans)
+        spec.loader.exec_module(spans)
+        assert spans.TARGETS
+        for mod_name, attr, _ in spans.TARGETS:
+            module = importlib.import_module(f"ratsos.{mod_name}")
+            assert callable(getattr(module, attr, None)), (mod_name, attr)

@@ -1,18 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from ratsos.errors import DimensionError
-from ratsos.poly import (
-    Polynomial,
-    basis,
-    full_basis,
-    moment_index,
-    poly_add,
-    poly_mul,
-    poly_scale,
-)
+from ratsos.poly import Polynomial, basis
 from util import (
     assert_poly_close,
     binomial,
@@ -35,15 +26,15 @@ class TestArithmetic:
 
     def test_additive_inverse_empty_support(self):
         f = 2.5 * x(2, 0, 3) + x(2, 1) - 0.75
-        z = poly_add(f, poly_scale(f, -1.0))
+        z = f + f * -1.0
         assert z.is_zero()
         assert len(z.support) == 0
 
     def test_nvars_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            poly_add(x(2, 0), x(3, 0))
+            x(2, 0) + x(3, 0)
         with pytest.raises(DimensionError):
-            poly_mul(x(2, 0), x(3, 0))
+            x(2, 0) * x(3, 0)
 
     def test_chained_denominator_identity(self):
         # q written as the sum of two squared-term groups plus a corrective
@@ -154,46 +145,6 @@ class TestBasis:
         b = basis(3, (0, 1, 2), 3)
         for i, mono in enumerate(b):
             assert b.index_of(mono) == i
-
-
-class TestMomentIndex:
-    def test_constant_entry(self):
-        one = Polynomial.constant(2, 1.0)
-        assert moment_index((0, 0), (0, 0), one) == [((0, 0), 1.0)]
-
-    def test_cross_entry(self):
-        one = Polynomial.constant(2, 1.0)
-        assert moment_index((1, 0), (0, 1), one) == [((1, 1), 1.0)]
-
-    def test_ball_localizer_entry(self):
-        g = 1.0 - x(2, 0, 2) - x(2, 1, 2)
-        got = dict(moment_index((1, 0), (1, 0), g))
-        assert got == {(2, 0): 1.0, (4, 0): -1.0, (2, 2): -1.0}
-
-    def test_dirac_moment_matrix_rank_one(self):
-        # Evaluating entry functionals at the moments of a point mass must
-        # produce exactly the outer product of the monomial-value vector.
-        rng = seeded_rng(23)
-        one = Polynomial.constant(3, 1.0)
-        for _ in range(5):
-            pt = rng.uniform(-1, 1, size=3)
-            b = full_basis(3, 2)
-            vals = np.array(
-                [np.prod([p ** e for p, e in zip(pt, mono)]) for mono in b]
-            )
-            mat = np.empty((len(b), len(b)))
-            for i, bi in enumerate(b):
-                for j, bj in enumerate(b):
-                    entries = moment_index(bi, bj, one)
-                    mat[i, j] = sum(
-                        c * np.prod([p ** e for p, e in zip(pt, mono)])
-                        for mono, c in entries
-                    )
-            outer = np.outer(vals, vals)
-            assert np.allclose(mat, outer, atol=1e-12)
-            eigs = np.linalg.eigvalsh(mat)
-            assert eigs.min() >= -1e-10
-            assert (eigs > 1e-8 * max(1.0, eigs.max())).sum() == 1
 
 
 def _chain_denominator_direct(a, d):

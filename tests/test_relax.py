@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ratsos.corrsparse import build_cliques
-from ratsos.errors import BuildError, OrderTooSmallError, SolveError
+from ratsos.errors import BuildError, OrderTooSmallError
 from ratsos.families import (
     gen_overlap_chain,
     gen_rand_srfo,
@@ -14,15 +14,9 @@ from ratsos.oracle import grid_oracle
 from ratsos.poly import Polynomial, basis, full_basis
 from ratsos.problem import Constraint, SrfoProblem, parse
 from ratsos.relax import (
-    RelaxationSpec,
     build,
-    build_cs,
-    build_cs_signsym,
-    build_dense,
     build_epigraph,
-    build_signsym,
     dirac_decision_vector,
-    extract_bound,
     flatness_certificate,
     min_order,
     reported_bound,
@@ -66,39 +60,58 @@ class TestOrders:
     def test_order_too_small(self):
         prob = gen_reznick_sparse_chain(2, 1)
         with pytest.raises(OrderTooSmallError) as err:
-            build_dense(prob, 2)
+            build(prob, "dense", 2)
         assert err.value.d_min == 3
         assert err.value.k == 2
 
     def test_spec_validation(self):
-        with pytest.raises(BuildError):
-            RelaxationSpec("nonsense", 2)
+        with pytest.raises(BuildError, match="unknown method"):
+            build(gen_unit_ball_mix(), "nonsense", 2)
 
     def test_bad_ratio_order(self):
         with pytest.raises(BuildError, match="permutation"):
-            build_dense(gen_unit_ball_mix(), 2, ratio_order=(0, 0, 1))
+            build(gen_unit_ball_mix(), "dense", 2, ratio_order=(0, 0, 1))
 
 
 class TestStructure:
+    # (instance, method, k) -> block-size histogram and equality row count
+    PINNED = {
+        ("ball-mix", "dense", 2): ({4: 3, 10: 3}, 21),
+        ("ball-mix", "dense", 3): ({10: 3, 20: 3}, 71),
+        ("ball-mix", "signsym", 2): (
+            {1: 4, 2: 3, 3: 2, 4: 1, 5: 1, 7: 1, 10: 1}, 13),
+        ("ball-mix", "signsym", 3): (
+            {1: 1, 2: 3, 3: 1, 5: 3, 7: 2, 8: 1, 10: 1, 13: 1, 20: 1}, 37),
+        ("ball-mix", "cs", 2): ({4: 1, 10: 3}, 30),
+        ("ball-mix", "cs", 3): ({10: 1, 20: 3}, 105),
+        ("ball-mix", "cs-signsym", 2): ({4: 1, 10: 3}, 30),
+        ("ball-mix", "cs-signsym", 3): ({10: 1, 20: 3}, 105),
+        ("overlap-chain-N8-s1", "cs", 3): ({6: 9, 10: 8}, 36),
+        ("overlap-chain-N8-s1", "cs-signsym", 3): ({2: 9, 4: 17, 6: 8}, 22),
+    }
+    INSTANCES = {
+        "ball-mix": gen_unit_ball_mix,
+        "overlap-chain-N8-s1": lambda: gen_overlap_chain(8, 1),
+    }
+
     def test_pinned_block_sizes_ball_mix(self):
-        rsdp = build_dense(gen_unit_ball_mix(), 2)
-        assert rsdp.block_size_histogram() == {4: 3, 10: 3}
-        rsdp3 = build_dense(gen_unit_ball_mix(), 3)
-        assert rsdp3.block_size_histogram() == {10: 3, 20: 3}
+        for (name, method, k), (hist, _) in self.PINNED.items():
+            rsdp = build(self.INSTANCES[name](), method, k)
+            assert rsdp.block_size_histogram() == hist, (name, method, k)
 
     def test_pinned_equality_row_counts(self):
-        # normalization plus two linking families truncated at 2k - 2
-        rsdp = build_dense(gen_unit_ball_mix(), 2)
-        assert len(rsdp.eq_rows) == 1 + 2 * 10
-        rsdp3 = build_dense(gen_unit_ball_mix(), 3)
-        assert len(rsdp3.eq_rows) == 1 + 2 * 35
+        # dense: normalization plus two linking families truncated at 2k - 2
+        # (1 + 2 * 10 at k=2, 1 + 2 * 35 at k=3)
+        for (name, method, k), (_, neq) in self.PINNED.items():
+            rsdp = build(self.INSTANCES[name](), method, k)
+            assert len(rsdp.eq_rows) == neq, (name, method, k)
 
     def test_signsym_block_accounting(self):
         # moment classes partition the index basis per measure, and within
         # each class all pairwise sums lie in the measure's closure
         prob = gen_unit_ball_mix()
         k = 2
-        rsdp = build_signsym(prob, k)
+        rsdp = build(prob, "signsym", k)
         groups = [
             sign_symmetries(s, prob.nvars) for s in support_sets(prob)
         ]
@@ -119,15 +132,15 @@ class TestStructure:
                     assert in_closure(group, mono)
 
     def test_signsym_restricts_decision_vars(self):
-        dense = build_dense(gen_unit_ball_mix(), 2)
-        sym = build_signsym(gen_unit_ball_mix(), 2)
+        dense = build(gen_unit_ball_mix(), "dense", 2)
+        sym = build(gen_unit_ball_mix(), "signsym", 2)
         assert sym.num_decision < dense.num_decision
 
     def test_quotient_reduction_drops_pivot(self):
         prob = parse(
             "vars x1 x2\nratio: (x1)/(1)\nconstraint: 1 - x1^2 - x2^2 == 0\n"
         )
-        rsdp = build_dense(prob, 2)
+        rsdp = build(prob, "dense", 2)
         lay = rsdp.measures[0]
         for mono in lay.monomials:
             assert mono[1] < 2
@@ -299,7 +312,7 @@ class TestFlatness:
 
     def test_dirac_vector_is_flat(self):
         prob = gen_unit_ball_mix()
-        rsdp = build_dense(prob, 2)
+        rsdp = build(prob, "dense", 2)
         y = dirac_decision_vector(rsdp, np.array([0.3, -0.2, 0.1]))
         from ratsos.sdp import SolveReport
 
@@ -317,22 +330,6 @@ class TestFlatness:
 
 
 class TestExtract:
-    def test_extract_bound_ok(self):
-        res = solve_relaxation(trivial_square(), "dense", 1)
-        primal, dual = extract_bound(res.report)
-        assert primal == res.report.primal
-        assert dual == res.report.dual
-
-    def test_extract_bound_rejects_failures(self):
-        from ratsos.sdp import SolveReport
-
-        bad = SolveReport(
-            status="infeasible", primal=0.0, dual=0.0, gap=0.0,
-            iterations=0, block_sizes=(), wall_time=0.0,
-        )
-        with pytest.raises(SolveError):
-            extract_bound(bad)
-
     def test_reported_bound_conservative(self):
         from ratsos.sdp import SolveReport
 
@@ -353,7 +350,7 @@ class TestExtract:
 class TestPresolve:
     def test_dedupe_does_not_change_optimum(self):
         prob = gen_reznick_sparse_chain(2, 1)
-        rsdp = build_cs(prob, 3)
+        rsdp = build(prob, "cs", 3)
         a = solve_internal(to_standard_form(rsdp, dedupe=True), tol=1e-9)
         b = solve_internal(to_standard_form(rsdp, dedupe=False), tol=1e-9)
         assert a.ok() and b.ok()
