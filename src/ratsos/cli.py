@@ -144,6 +144,7 @@ def cmd_solve(args):
     if len(orders) == 1:
         results = [run(orders[0])]
     else:
+        # BLAS and LAPACK release the GIL, so the orders' solves overlap
         workers = min(len(orders), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, orders))

@@ -211,7 +211,7 @@ class _SizeGroup:
         self.s = size
         self.B = len(blocks)
         self.vars_list = []
-        self.F_list = []
+        F_list = []
         self.Fm_list = []
         C = np.zeros((self.B, size, size))
         g_rows, g_cols, g_vals = [], [], []
@@ -236,7 +236,7 @@ class _SizeGroup:
                 if r != cc:
                     C[b, cc, r] += a
             self.vars_list.append(vars_b)
-            self.F_list.append(F)
+            F_list.append(F)
             self.Fm_list.append(sp.csr_matrix(F.reshape(len(vars_b), ss)))
         self.C = C
         self.G = sp.csr_matrix(
@@ -248,7 +248,7 @@ class _SizeGroup:
         counts = [len(v) for v in self.vars_list]
         self.row_splits = np.cumsum([0] + counts)
         self.Fcat = (
-            np.concatenate(self.F_list) if counts else
+            np.concatenate(F_list) if counts else
             np.zeros((0, size, size))
         )
 
@@ -1054,163 +1054,51 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
 
     err, pobj, dobj, relgap, pinf, dinf, y_best, nu_best, X_best, xv_best = best
 
-    # --- polish the best iterate ---------------------------------------
-    # An iterate that met the tolerance is reported as it is.  Otherwise:
-    # Dual side: alternate minimal-norm affine correction with projection
-    # onto the PSD cone until (X, nu) is numerically dual feasible; the
-    # affine step reuses one Gram factorization of the constraint operator.
-    # Primal side: project y onto the equality manifold and round it onto
-    # the active face read off the slack eigenstructure (the objective is
-    # constant on the optimal face, so rounding removes centering error).
+    # --- dual refit of the best iterate --------------------------------
+    # An iterate that met the tolerance is reported as it is.  Otherwise the
+    # equality multipliers are refitted to its dual residual (least squares,
+    # through the QR factors of the elimination) and the residual r left over
+    # is charged at y: the dual value d'nu - <X, C> - x'c_dg + r'y is then
+    # the Lagrangian at (y, X, x, nu).  pinf is read from the eigenvalue
+    # floor of the LMI at y and from d - E y.  The refit is kept only when it
+    # lowers max(relgap, pinf, dinf).
     if status != "optimal":
         try:
-            gram = np.zeros((m, m))
-            for g in groups:
-                gram += (g.GT @ g.G).toarray()
-            if dg is not None:
-                gram += (A_dgT @ A_dg).toarray()
-            if nf:
-                gram += (E.T @ E).toarray()
-            gram[np.arange(m), np.arange(m)] += 1e-12 * max(1.0, gram.max())
-            gram_cho = sla.cho_factor(gram, check_finite=False)
-
-            X_fit = {gi: X_best[gi].copy() for gi in range(len(groups))}
-            xv_fit = xv_best.copy() if dg is not None else None
-            nu_fit = nu_best.copy()
-            for _ in range(8):
-                Ax = np.zeros(m)
-                for gi, g in enumerate(groups):
-                    Ax += g.adjoint(X_fit[gi])
-                if dg is not None:
-                    Ax += A_dgT @ xv_fit
-                r_d_fit = c - Ax - (ET @ nu_fit if nf else 0.0)
-                if np.abs(r_d_fit).max() <= 1e-14 * obj_scale:
-                    break
-                lam = sla.cho_solve(gram_cho, r_d_fit, check_finite=False)
-                clipped = False
-                for gi, g in enumerate(groups):
-                    upd = X_fit[gi] + (g.G @ lam).reshape(g.B, g.s, g.s)
-                    upd = 0.5 * (upd + np.transpose(upd, (0, 2, 1)))
-                    evals, evecs = np.linalg.eigh(upd)
-                    if evals.min() < 0.0:
-                        clipped = True
-                    evals = np.maximum(evals, 0.0)
-                    X_fit[gi] = evecs @ (evals[:, :, None] * np.transpose(evecs, (0, 2, 1)))
-                if dg is not None:
-                    xv_fit = xv_fit + A_dg @ lam
-                    if xv_fit.min() < 0.0:
-                        clipped = True
-                    xv_fit = np.maximum(xv_fit, 0.0)
-                if nf:
-                    nu_fit = nu_fit + E @ lam
-                if not clipped:
-                    break
-            def dual_pack(Xd, xvd, nud):
-                Ax = np.zeros(m)
-                for gi, g in enumerate(groups):
-                    Ax += g.adjoint(Xd[gi])
-                if dg is not None:
-                    Ax += A_dgT @ xvd
-                if nf:
-                    nud = nud + np.linalg.lstsq(
-                        ET.toarray(), c - Ax - ET @ nud, rcond=None
-                    )[0]
-                    r = c - Ax - ET @ nud
-                else:
-                    r = c - Ax
-                base = (
-                    (nud @ d if nf else 0.0)
-                    - sum(
-                        float(np.einsum("bij,bij->", Xd[gi], g.C))
-                        for gi, g in enumerate(groups)
-                    )
-                    - (float(xvd @ dg_const) if dg is not None else 0.0)
-                )
-                return base, r, (float(np.abs(r).max()) if m else 0.0) / obj_scale
-
-            # two dual estimates: the raw best iterate and its PSD-projected
-            # counterpart; both get the first-order residual correction later
-            duals = [dual_pack(X_best, xv_best, nu_best)]
-            duals.append(dual_pack(X_fit, xv_fit, nu_fit))
-
-            y_fit = y_best.copy()
-            if nf:
-                r_e_fit = d - E @ y_fit
-                EE = (E @ E.T).toarray() + 1e-14 * np.eye(nf)
-                y_fit += E.T @ np.linalg.solve(EE, r_e_fit)
-            pobj_fit = c_gamma * float(c @ y_fit)
-
-            def dual_value(y_ref, pobj_ref):
-                # corrected dual estimates; report the one nearest the primal
-                # (they coincide at the optimum, and the residual correction
-                # makes each estimate accurate to the complementarity term)
-                cands = [
-                    (c_gamma * float(base + r @ y_ref), di)
-                    for base, r, di in duals
-                ]
-                return min(cands, key=lambda t: abs(pobj_ref - t[0]))
-
-            # face rounding of the primal point
-            y_round = None
-            face_rows = []
-            face_rhs = []
+            Ax = np.zeros(m)
             for gi, g in enumerate(groups):
-                Sb = g.lmi(y_fit)
-                evals, evecs = np.linalg.eigh(Sb)
-                for b in range(g.B):
-                    lam_max = max(evals[b, -1], 1e-12)
-                    act = evecs[b][:, evals[b] < 1e-5 * lam_max]
-                    if act.shape[1] == 0:
-                        continue
-                    lo, hi = g.row_splits[b], g.row_splits[b + 1]
-                    Fb = g.Fcat[lo:hi]
-                    rows_loc = np.tensordot(Fb, act, axes=([2], [0]))
-                    block_rows = rows_loc.reshape(hi - lo, -1).T
-                    full = np.zeros((block_rows.shape[0], m))
-                    full[:, g.vars_list[b]] = block_rows
-                    face_rows.append(full)
-                    face_rhs.append(-(g.C[b] @ act).T.ravel())
-            if face_rows:
-                A_face = np.vstack(face_rows)
-                b_face = np.concatenate(face_rhs)
-                if nf:
-                    A_face = np.vstack([A_face, E.toarray()])
-                    b_face = np.concatenate([b_face, d])
-                anchor_w = 1e-6
-                A_ls = np.vstack([A_face, anchor_w * np.eye(m)])
-                b_ls = np.concatenate([b_face, anchor_w * y_fit])
-                y_round = np.linalg.lstsq(A_ls, b_ls, rcond=None)[0]
-
-            candidates = [(y_fit, pobj_fit)]
-            if y_round is not None:
-                candidates.append((y_round, c_gamma * float(c @ y_round)))
-
-            # among primal-feasible candidates the lowest objective wins: the
-            # moment form is a minimization and the dual estimate can carry a
-            # small infeasibility bias, so it must not veto a better point
-            scored = []
-            for y_c, pobj_c in candidates:
-                eig_floor = 0.0
-                for gi, g in enumerate(groups):
-                    evs = np.linalg.eigvalsh(g.lmi(y_c))
-                    eig_floor = max(eig_floor, float(max(0.0, -evs[:, 0].min())))
-                if dg is not None:
-                    dvals = dg_const + A_dg @ y_c
-                    eig_floor = max(eig_floor, float(max(0.0, -dvals.min())))
-                pinf_c = max(
-                    float(np.abs(d - E @ y_c).max()) if nf else 0.0, eig_floor
-                ) / data_scale
-                scored.append((y_c, pobj_c, pinf_c))
-            feas_tol = max(10.0 * pinf, tol)
-            usable = [s for s in scored if s[2] <= feas_tol] or scored[:1]
-            y_c, pobj_c, pinf_c = min(usable, key=lambda s: s[1])
-            dobj_c, dinf_c = dual_value(y_c, pobj_c)
-            relgap_c = abs(pobj_c - dobj_c) / (1.0 + abs(pobj_c) + abs(dobj_c))
+                Ax += g.adjoint(X_best[gi])
+            if dg is not None:
+                Ax += A_dgT @ xv_best
+            r = c - Ax
+            if nf:
+                nu_best = nu_best + ba.multipliers(r - ET @ nu_best)
+                r = r - ET @ nu_best
+            dobj_c = c_gamma * float(
+                (nu_best @ d if nf else 0.0)
+                - sum(
+                    float(np.einsum("bij,bij->", X_best[gi], g.C))
+                    for gi, g in enumerate(groups)
+                )
+                - (float(xv_best @ dg_const) if dg is not None else 0.0)
+                + r @ y_best
+            )
+            dinf_c = (float(np.abs(r).max()) if m else 0.0) / obj_scale
+            eig_floor = 0.0
+            for g in groups:
+                evs = np.linalg.eigvalsh(g.lmi(y_best))
+                eig_floor = max(eig_floor, float(-evs[:, 0].min()))
+            if dg is not None:
+                dvals = dg_const + A_dg @ y_best
+                eig_floor = max(eig_floor, float(-dvals.min()))
+            pinf_c = max(
+                float(np.abs(d - E @ y_best).max()) if nf else 0.0, eig_floor
+            ) / data_scale
+            relgap_c = abs(pobj - dobj_c) / (1.0 + abs(pobj) + abs(dobj_c))
             err_c = max(relgap_c, pinf_c, dinf_c)
-            if err_c < err or pobj_c < pobj:
-                err, pobj, dobj = err_c, pobj_c, dobj_c
-                relgap, pinf, dinf = relgap_c, pinf_c, dinf_c
-                y_best = y_c
+            if err_c < err:
+                err, dobj, relgap, pinf, dinf = (
+                    err_c, dobj_c, relgap_c, pinf_c, dinf_c
+                )
         except (np.linalg.LinAlgError, ValueError):
             pass
 

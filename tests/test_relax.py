@@ -4,6 +4,7 @@ import pytest
 from ratsos.corrsparse import build_cliques
 from ratsos.errors import BuildError, OrderTooSmallError
 from ratsos.families import (
+    gen_motzkin_chain,
     gen_overlap_chain,
     gen_rand_srfo,
     gen_reznick_sparse_chain,
@@ -250,6 +251,17 @@ class TestBounds:
         res = solve_relaxation(gen_rosenbrock_ratio(4), "cs", 2)
         assert res.report.ok()
         assert res.bound == pytest.approx(4.0, abs=1e-3)
+
+    def test_motzkin_chain_refit_reaches_tolerance(self):
+        # both mass normalizations end short of tol in the loop; the dual
+        # refit of the best iterate takes relgap from 4.9e-8 below tol, and
+        # so the status from near_optimal to optimal
+        res = solve_relaxation(gen_motzkin_chain(2), "cs-signsym", 5)
+        rep = res.report
+        facts = (rep.status, rep.gap, rep.pinf, rep.dinf, rep.iterations)
+        assert rep.status == "optimal", facts
+        assert abs(res.bound - 7.9999812) <= 1e-6, (res.bound, facts)
+        assert res.bound <= 8.0
 
 
 class TestDiracFeasibility:

@@ -172,6 +172,42 @@ class TestInternalSolver:
         assert rep.status == "optimal"
         assert rep.primal == pytest.approx(3.0, abs=1e-7)
 
+    @pytest.mark.parametrize("max_iter", [6, 9, 13])
+    def test_refit_of_capped_solve(self, monkeypatch, max_iter):
+        # equality rows and folded 1x1 rows; capped, the loop ends short of
+        # tol (15 iterations reach it) and the dual refit runs
+        sf = to_standard_form(build(gen_unit_ball_mix(), "signsym", 2))
+        assert sf.diag is not None and sf.num_eq
+        multipliers = sdp._BlockAngular.multipliers
+        calls = []
+
+        def counted(ba, v):
+            calls.append(None)
+            return multipliers(ba, v)
+
+        monkeypatch.setattr(sdp._BlockAngular, "multipliers", counted)
+        rep = solve_internal(sf, max_iter=max_iter)
+        n = len(calls)
+
+        def refit_off(ba, v):
+            # the solve is deterministic: its n-th call is the refit's
+            calls.append(None)
+            if len(calls) == 2 * n:
+                raise np.linalg.LinAlgError("refit switched off")
+            return multipliers(ba, v)
+
+        monkeypatch.setattr(sdp._BlockAngular, "multipliers", refit_off)
+        off = solve_internal(sf, max_iter=max_iter)
+        assert len(calls) == 2 * n
+        assert off.iterations == rep.iterations == max_iter
+        values = [rep.primal, rep.dual, rep.gap, rep.pinf, rep.dinf]
+        assert np.isfinite(values).all() and np.isfinite(rep.y).all()
+        err = max(rep.gap, rep.pinf, rep.dinf)
+        assert err <= max(off.gap, off.pinf, off.dinf)
+        assert err > 1e-8
+        want = "near_optimal" if err <= 1e-5 else "max_iter"
+        assert rep.status == want, (err, rep.status)
+
     @pytest.mark.parametrize("mass_norm", ["anchor", "coef"])
     def test_masked_sparse_chain_reaches_tolerance(self, mass_norm):
         # five decoupled Reznick quotients on spheres: the optimum is not
