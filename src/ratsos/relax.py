@@ -305,24 +305,17 @@ class _Plan:
         return self.reducer is None or self.reducer.is_kept(mono)
 
 
-def _scaled_plan(label, vars_, p, q, cons, group, tau, mass_norm):
+def _scaled_plan(label, vars_, p, q, cons, group, tau):
     """One ratio measure in the scaled variables, its quotient absorbed."""
     p = p.rescale_vars(tau)
     q = q.rescale_vars(tau)
     cons = [(g.rescale_vars(tau), e, nm) for g, e, nm in cons]
-    # p/q is invariant under joint positive scaling: "anchor" divides by
-    # the denominator's value at a near-feasible point (keeps measure
-    # masses near one), "coef" by the largest coefficient (keeps row
-    # scales near one); degenerate instances can prefer either, so the
-    # driver may try both
-    kappa = None
-    if mass_norm == "anchor":
-        qa = q.evaluate(_anchor_point(len(tau), cons))
-        if abs(qa) > 1e-8 * max(abs(cq) for cq in q.terms.values()):
-            kappa = 1.0 / abs(qa)
-    elif mass_norm == "coef":
-        kappa = 1.0 / max(abs(cq) for cq in q.terms.values())
-    if kappa is not None:
+    # p/q is invariant under joint positive scaling: dividing both by the
+    # denominator's value at a near-feasible point keeps the measure's mass
+    # near one
+    qa = q.evaluate(_anchor_point(len(tau), cons))
+    if abs(qa) > 1e-8 * max(abs(cq) for cq in q.terms.values()):
+        kappa = 1.0 / abs(qa)
         p = p * kappa
         q = q * kappa
     # absorb diagonal-quadric equalities into the measure's quotient
@@ -429,7 +422,7 @@ def _riesz_cols(lay, terms, alpha):
     return cols, [acc[gid] for gid in cols]
 
 
-def _ratio_relaxation(prob, method, k, ratio_order, cs, mass_norm):
+def _ratio_relaxation(prob, method, k, ratio_order, cs):
     """One measure per ratio; `_AXES[method]` gives its split and its mask.
 
     The split decides each measure's variables and constraints, and which
@@ -472,8 +465,7 @@ def _ratio_relaxation(prob, method, k, ratio_order, cs, mass_norm):
         else:
             vars_, own = tuple(range(n)), cons
         plans.append(
-            _scaled_plan(f"m{i + 1}", vars_, sign * p, q, own, groups[i], tau,
-                         mass_norm)
+            _scaled_plan(f"m{i + 1}", vars_, sign * p, q, own, groups[i], tau)
         )
 
     for plan in plans:
@@ -648,13 +640,12 @@ def build_epigraph(prob, k, cs=None):
     return rsdp
 
 
-def build(prob, method, k, ratio_order=None, cs=None, mass_norm="anchor"):
+def build(prob, method, k, ratio_order=None, cs=None):
     """Moment relaxation of order k by one of METHODS.
 
     `ratio_order` (a permutation of the ratio indices) orders the measures of
     `dense` and `signsym`, the methods without a clique split; `cs` replaces
-    the cliques derived from the problem; `mass_norm` ("anchor" or "coef")
-    picks the per-ratio scaling of the ratio methods.
+    the cliques derived from the problem.
     """
     if method not in METHODS:
         raise BuildError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
@@ -662,7 +653,7 @@ def build(prob, method, k, ratio_order=None, cs=None, mass_norm="anchor"):
         raise BuildError(f"a ratio order applies to dense and signsym, not {method}")
     if method == "epigraph":
         return build_epigraph(prob, k, cs=cs)
-    return _ratio_relaxation(prob, method, k, ratio_order, cs, mass_norm)
+    return _ratio_relaxation(prob, method, k, ratio_order, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +767,8 @@ def solve_relaxation(
 ):
     """Build, solve and package one relaxation; the pipeline used by the CLI.
 
-    Two equivalent assemblies differing only in the per-ratio mass
-    normalization are tried when the first solve falls short of tolerance;
-    the better-converged run is kept (deterministic order, so results are
-    reproducible).
+    One build and one solve: the reported values are those of the solver's
+    best iterate, whatever its status.
     """
     t0 = time.perf_counter()
     rsdp = build(prob, method, k, ratio_order=ratio_order, cs=cs)
@@ -788,21 +777,6 @@ def solve_relaxation(
     t1 = time.perf_counter()
     report = solve_internal(sf, tol=tol, max_iter=max_iter)
     solve_ms = 1000.0 * (time.perf_counter() - t1)
-
-    def quality(rep):
-        rank = {"optimal": 0, "near_optimal": 1}.get(rep.status, 2)
-        return (rank, max(rep.gap, rep.pinf, rep.dinf))
-
-    if method != "epigraph" and quality(report)[1] > tol:
-        t2 = time.perf_counter()
-        rsdp_alt = build(
-            prob, method, k, ratio_order=ratio_order, cs=cs, mass_norm="coef"
-        )
-        sf_alt = to_standard_form(rsdp_alt)
-        report_alt = solve_internal(sf_alt, tol=tol, max_iter=max_iter)
-        solve_ms += 1000.0 * (time.perf_counter() - t2)
-        if quality(report_alt) < quality(report):
-            rsdp, sf, report = rsdp_alt, sf_alt, report_alt
     certified = False
     if report.ok() and method in ("dense", "signsym"):
         certified = bool(flatness_certificate(rsdp, report, rank_tol))

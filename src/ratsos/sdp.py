@@ -802,6 +802,8 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
         mu = gap_inner / dim
 
         pobj = c_gamma * float(c @ y)
+        # the Lagrangian at (y, X, x, nu): the dual residual is charged at y,
+        # so a residual no step removes shows in the gap instead of hiding
         dobj = c_gamma * float(
             (nu @ d if nf else 0.0)
             - sum(
@@ -809,6 +811,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
                 for gi, g in enumerate(groups)
             )
             - (float(x_vec @ dg_const) if dg is not None else 0.0)
+            + float(r_d @ y)
         )
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pinf = max(
@@ -820,12 +823,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
 
         err = max(relgap, pinf, dinf)
         if best is None or err < best[0]:
-            best = (
-                err, pobj, dobj, relgap, pinf, dinf, y.copy(),
-                nu.copy(),
-                {gi: X[gi].copy() for gi in range(len(groups))},
-                x_vec.copy() if dg is not None else None,
-            )
+            best = (err, pobj, dobj, relgap, pinf, dinf, y.copy())
             slow = 0
         else:
             slow += 1
@@ -1052,56 +1050,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
             s_vec = s_vec + ap * ds_dg
             x_vec = x_vec + ad * dx_dg
 
-    err, pobj, dobj, relgap, pinf, dinf, y_best, nu_best, X_best, xv_best = best
-
-    # --- dual refit of the best iterate --------------------------------
-    # An iterate that met the tolerance is reported as it is.  Otherwise the
-    # equality multipliers are refitted to its dual residual (least squares,
-    # through the QR factors of the elimination) and the residual r left over
-    # is charged at y: the dual value d'nu - <X, C> - x'c_dg + r'y is then
-    # the Lagrangian at (y, X, x, nu).  pinf is read from the eigenvalue
-    # floor of the LMI at y and from d - E y.  The refit is kept only when it
-    # lowers max(relgap, pinf, dinf).
-    if status != "optimal":
-        try:
-            Ax = np.zeros(m)
-            for gi, g in enumerate(groups):
-                Ax += g.adjoint(X_best[gi])
-            if dg is not None:
-                Ax += A_dgT @ xv_best
-            r = c - Ax
-            if nf:
-                nu_best = nu_best + ba.multipliers(r - ET @ nu_best)
-                r = r - ET @ nu_best
-            dobj_c = c_gamma * float(
-                (nu_best @ d if nf else 0.0)
-                - sum(
-                    float(np.einsum("bij,bij->", X_best[gi], g.C))
-                    for gi, g in enumerate(groups)
-                )
-                - (float(xv_best @ dg_const) if dg is not None else 0.0)
-                + r @ y_best
-            )
-            dinf_c = (float(np.abs(r).max()) if m else 0.0) / obj_scale
-            eig_floor = 0.0
-            for g in groups:
-                evs = np.linalg.eigvalsh(g.lmi(y_best))
-                eig_floor = max(eig_floor, float(-evs[:, 0].min()))
-            if dg is not None:
-                dvals = dg_const + A_dg @ y_best
-                eig_floor = max(eig_floor, float(-dvals.min()))
-            pinf_c = max(
-                float(np.abs(d - E @ y_best).max()) if nf else 0.0, eig_floor
-            ) / data_scale
-            relgap_c = abs(pobj - dobj_c) / (1.0 + abs(pobj) + abs(dobj_c))
-            err_c = max(relgap_c, pinf_c, dinf_c)
-            if err_c < err:
-                err, dobj, relgap, pinf, dinf = (
-                    err_c, dobj_c, relgap_c, pinf_c, dinf_c
-                )
-        except (np.linalg.LinAlgError, ValueError):
-            pass
-
+    err, pobj, dobj, relgap, pinf, dinf, y_best = best
     if status in ("max_iter", "stalled", "numerical_issue"):
         if err <= tol:
             status = "optimal"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ratsos import relax
 from ratsos.corrsparse import build_cliques
 from ratsos.errors import BuildError, OrderTooSmallError
 from ratsos.families import (
@@ -26,6 +27,18 @@ from ratsos.relax import (
 from ratsos.sdp import solve_internal, to_standard_form
 from ratsos.signsym import in_closure, sign_symmetries, support_sets
 from util import seeded_rng
+
+
+def count_builds(monkeypatch):
+    """Patch `relax.build` to record each call; returns the call list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(relax, "build", counted)
+    return calls
 
 
 def trivial_square():
@@ -252,16 +265,27 @@ class TestBounds:
         assert res.report.ok()
         assert res.bound == pytest.approx(4.0, abs=1e-3)
 
-    def test_motzkin_chain_refit_reaches_tolerance(self):
-        # both mass normalizations end short of tol in the loop; the dual
-        # refit of the best iterate takes relgap from 4.9e-8 below tol, and
-        # so the status from near_optimal to optimal
+    def test_motzkin_chain_one_build_below_feasible_value(self, monkeypatch):
+        # 7.99903 is c'y of a strictly feasible moment vector of this
+        # relaxation (LMI eigenvalue floor 2.9e-10, equality residual 1e-17),
+        # so the relaxation's value, and any sound bound, lies below it
+        builds = count_builds(monkeypatch)
         res = solve_relaxation(gen_motzkin_chain(2), "cs-signsym", 5)
         rep = res.report
         facts = (rep.status, rep.gap, rep.pinf, rep.dinf, rep.iterations)
         assert rep.status == "optimal", facts
-        assert abs(res.bound - 7.9999812) <= 1e-6, (res.bound, facts)
-        assert res.bound <= 8.0
+        assert len(builds) == 1
+        assert res.bound <= 7.99903, (res.bound, facts)
+
+    def test_capped_solve_builds_once(self, monkeypatch):
+        # a solve stopped short of tolerance is reported as it ends, with
+        # no second build
+        builds = count_builds(monkeypatch)
+        res = solve_relaxation(gen_unit_ball_mix(), "signsym", 2, max_iter=6)
+        assert len(builds) == 1
+        assert res.report.status == "max_iter"
+        assert res.report.iterations == 6
+        assert np.isnan(res.bound)
 
 
 class TestDiracFeasibility:

@@ -173,49 +173,26 @@ class TestInternalSolver:
         assert rep.primal == pytest.approx(3.0, abs=1e-7)
 
     @pytest.mark.parametrize("max_iter", [6, 9, 13])
-    def test_refit_of_capped_solve(self, monkeypatch, max_iter):
+    def test_capped_solve(self, max_iter):
         # equality rows and folded 1x1 rows; capped, the loop ends short of
-        # tol (15 iterations reach it) and the dual refit runs
+        # tol (15 iterations reach it) and reports its best iterate
         sf = to_standard_form(build(gen_unit_ball_mix(), "signsym", 2))
         assert sf.diag is not None and sf.num_eq
-        multipliers = sdp._BlockAngular.multipliers
-        calls = []
-
-        def counted(ba, v):
-            calls.append(None)
-            return multipliers(ba, v)
-
-        monkeypatch.setattr(sdp._BlockAngular, "multipliers", counted)
         rep = solve_internal(sf, max_iter=max_iter)
-        n = len(calls)
-
-        def refit_off(ba, v):
-            # the solve is deterministic: its n-th call is the refit's
-            calls.append(None)
-            if len(calls) == 2 * n:
-                raise np.linalg.LinAlgError("refit switched off")
-            return multipliers(ba, v)
-
-        monkeypatch.setattr(sdp._BlockAngular, "multipliers", refit_off)
-        off = solve_internal(sf, max_iter=max_iter)
-        assert len(calls) == 2 * n
-        assert off.iterations == rep.iterations == max_iter
+        assert rep.iterations == max_iter
         values = [rep.primal, rep.dual, rep.gap, rep.pinf, rep.dinf]
         assert np.isfinite(values).all() and np.isfinite(rep.y).all()
         err = max(rep.gap, rep.pinf, rep.dinf)
-        assert err <= max(off.gap, off.pinf, off.dinf)
         assert err > 1e-8
         want = "near_optimal" if err <= 1e-5 else "max_iter"
         assert rep.status == want, (err, rep.status)
 
-    @pytest.mark.parametrize("mass_norm", ["anchor", "coef"])
-    def test_masked_sparse_chain_reaches_tolerance(self, mass_norm):
+    def test_masked_sparse_chain_reaches_tolerance(self):
         # five decoupled Reznick quotients on spheres: the optimum is not
         # strictly complementary and the objective is badly scaled (max |c|
         # about 1e4 against an optimum of 5); in double precision alone the
         # solve stops short of tol
-        rsdp = build(gen_reznick_sparse_chain(5, 2), "cs-signsym", 6,
-                     mass_norm=mass_norm)
+        rsdp = build(gen_reznick_sparse_chain(5, 2), "cs-signsym", 6)
         rep = solve_internal(to_standard_form(rsdp), tol=1e-8)
         facts = (rep.status, rep.gap, rep.pinf, rep.dinf, rep.iterations)
         assert rep.status == "optimal", facts
