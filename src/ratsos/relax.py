@@ -38,7 +38,7 @@ from .corrsparse import build_cliques
 from .errors import BuildError, OrderTooSmallError, SolveError
 from .poly import Polynomial, basis, grlex_key, mono_mul
 from .problem import SrfoProblem, variable_bounds
-from .sdp import PsdBlockData, SolveReport, solve_internal, to_standard_form
+from .sdp import SolveReport, psd_block, solve_internal, to_standard_form
 from .signsym import (
     SignSymmetryGroup,
     block_partition,
@@ -390,24 +390,10 @@ def _emit_localizing(rsdp, mi, plan, terms, sub, name, kind):
                         vids.append(index[m2])
                         coefs.append(ca * c2)
         rsdp.add_block(
-            _psd_block(f"{plan.label}:{name}:{ci}", len(cls), rows, cols, vids, coefs),
+            psd_block(f"{plan.label}:{name}:{ci}", len(cls), rows, cols, vids, coefs),
             mi,
             kind,
         )
-
-
-def _psd_block(label, size, rows, cols, vids, coefs):
-    return PsdBlockData(
-        label=label,
-        size=size,
-        rows=np.asarray(rows, dtype=np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        varids=np.asarray(vids, dtype=np.int64),
-        coefs=np.asarray(coefs, dtype=float),
-        const_rows=np.zeros(0, dtype=np.int64),
-        const_cols=np.zeros(0, dtype=np.int64),
-        const_vals=np.zeros(0),
-    )
 
 
 def _riesz_cols(lay, terms, alpha):

@@ -8,6 +8,9 @@ moment relaxations:
     subject to  E y = d
                 S_b(y) = C_b + sum_l y_l F_{b,l}  PSD   for every block b
 
+A block of size 1 (a scalar inequality) is an ordinary PSD block here; only
+the SDPA writer packs such blocks into its diagonal block.
+
 The solver is a path-following method with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector step, run from an infeasible start.  It returns
 both the moment-side value (primal) and the certifying SOS-side value (dual)
@@ -50,15 +53,20 @@ class PsdBlockData:
     const_vals: np.ndarray
 
 
-@dataclass
-class DiagBlockData:
-    """Folded 1x1 blocks: positionwise c + A y >= 0."""
-
-    size: int
-    pos: np.ndarray
-    varids: np.ndarray
-    coefs: np.ndarray
-    const: np.ndarray  # dense, length size
+def psd_block(label, size, rows, cols, vids, coefs,
+              const_rows=(), const_cols=(), const_vals=()):
+    """PsdBlockData from entry lists, the constant term C empty by default."""
+    return PsdBlockData(
+        label=label,
+        size=size,
+        rows=np.asarray(rows, dtype=np.int64),
+        cols=np.asarray(cols, dtype=np.int64),
+        varids=np.asarray(vids, dtype=np.int64),
+        coefs=np.asarray(coefs, dtype=float),
+        const_rows=np.asarray(const_rows, dtype=np.int64),
+        const_cols=np.asarray(const_cols, dtype=np.int64),
+        const_vals=np.asarray(const_vals, dtype=float),
+    )
 
 
 @dataclass
@@ -66,7 +74,6 @@ class SdpStandardForm:
     num_vars: int
     objective: np.ndarray
     blocks: list
-    diag: DiagBlockData | None = None
     eq_mat: sp.csr_matrix | None = None
     eq_rhs: np.ndarray | None = None
     origin: object = None
@@ -76,15 +83,10 @@ class SdpStandardForm:
         return 0 if self.eq_mat is None else self.eq_mat.shape[0]
 
     def total_psd_dim(self):
-        return sum(b.size for b in self.blocks) + (
-            self.diag.size if self.diag else 0
-        )
+        return sum(b.size for b in self.blocks)
 
     def block_sizes(self):
-        sizes = [b.size for b in self.blocks]
-        if self.diag and self.diag.size:
-            sizes += [1] * self.diag.size
-        return tuple(sizes)
+        return tuple(b.size for b in self.blocks)
 
 
 @dataclass
@@ -128,37 +130,11 @@ def _dedupe_rows(rows_cols_vals):
 def to_standard_form(rsdp, dedupe=True):
     """Repack a relaxation into solver form.
 
-    Size-1 PSD blocks are folded into one diagonal block; exact duplicate
-    equality rows are dropped.  The relaxation object is retained so moment
-    values can be read back per monomial.
+    The blocks are kept as built, 1x1 blocks included; equality rows are
+    packed into one sparse matrix, exact duplicates dropped.  The
+    relaxation object is retained so moment values can be read back per
+    monomial.
     """
-    blocks = []
-    diag_pos = []
-    diag_var = []
-    diag_coef = []
-    diag_const = []
-    ndiag = 0
-    for blk in rsdp.blocks:
-        if blk.size == 1:
-            for v, c in zip(blk.varids, blk.coefs):
-                diag_pos.append(ndiag)
-                diag_var.append(v)
-                diag_coef.append(c)
-            cval = float(blk.const_vals.sum()) if len(blk.const_vals) else 0.0
-            diag_const.append(cval)
-            ndiag += 1
-        else:
-            blocks.append(blk)
-    diag = None
-    if ndiag:
-        diag = DiagBlockData(
-            size=ndiag,
-            pos=np.asarray(diag_pos, dtype=np.int64),
-            varids=np.asarray(diag_var, dtype=np.int64),
-            coefs=np.asarray(diag_coef, dtype=float),
-            const=np.asarray(diag_const, dtype=float),
-        )
-
     eq_mat = None
     eq_rhs = None
     if rsdp.eq_rows:
@@ -187,8 +163,7 @@ def to_standard_form(rsdp, dedupe=True):
     return SdpStandardForm(
         num_vars=rsdp.num_decision,
         objective=np.asarray(rsdp.objective, dtype=float).copy(),
-        blocks=blocks,
-        diag=diag,
+        blocks=list(rsdp.blocks),
         eq_mat=eq_mat,
         eq_rhs=eq_rhs,
         origin=rsdp,
@@ -262,27 +237,26 @@ class _SizeGroup:
         """Accumulated <F_l, T_b> over all blocks, as a length-m vector."""
         return self.GT @ Tstack.ravel()
 
-    def add_schur(self, W, mats, place):
+    def add_schur(self, W, buf, place):
         """Add each block's <F_i, W F_j W> into its component's matrix.
 
-        `place[b]` is (component, local indices of the block's variables).
+        `place[b]` holds the flat positions in `buf` of the block's
+        variable pairs (`_BlockAngular.place`).
         """
         ss = self.s * self.s
-        for b, where in enumerate(place):
-            if where is None:
+        for b, pos in enumerate(place):
+            if pos is None:
                 continue
-            k, loc = where
             lo, hi = self.row_splits[b], self.row_splits[b + 1]
             T = np.matmul(W[b], np.matmul(self.Fcat[lo:hi], W[b]))
-            Mloc = self.Fm_list[b] @ T.reshape(hi - lo, ss).T
-            mats[k][np.ix_(loc, loc)] += Mloc
+            buf[pos] += self.Fm_list[b] @ T.reshape(hi - lo, ss).T
 
 
 class _BlockAngular:
     """The block-angular structure of the Newton system, fixed for a solve.
 
     Two decision variables meet in the Schur matrix M only when they share
-    a PSD block or a folded diagonal row, so M is block-diagonal over the
+    a PSD block (1x1 blocks included), so M is block-diagonal over the
     connected components of that relation: one per measure in the
     multi-measure relaxations.  An equality row inside one component is an
     intra row, a row spanning components a linking row.
@@ -303,19 +277,14 @@ class _BlockAngular:
     short of the tolerance; merged, they reach it.
     """
 
-    def __init__(self, m, groups, dg, E):
+    def __init__(self, m, groups, E):
         self.m = m
         self.nf = 0 if E is None else E.shape[0]
         if self.nf:
             E = sp.csr_matrix(E)
         # union by relabelling: each label is the smallest variable of its set
         lab = np.arange(m)
-        var_sets = [vs for g in groups for vs in g.vars_list if len(vs)]
-        if dg is not None:
-            by_pos = np.argsort(dg.pos, kind="stable")
-            cuts = np.flatnonzero(np.diff(dg.pos[by_pos])) + 1
-            var_sets += np.split(dg.varids[by_pos], cuts)
-        for vs in var_sets:
+        for vs in (vs for g in groups for vs in g.vars_list):
             roots = np.unique(lab[vs])
             if len(roots) > 1:
                 lab[np.isin(lab, roots)] = roots[0]
@@ -362,8 +331,10 @@ class _BlockAngular:
         self.class_vars = [
             np.concatenate(self.vars[k0:k1]) for _, k0, k1 in self.classes
         ]
+        # per size group and block, the flat positions of the block's
+        # variable pairs
         self.place = [
-            [(comp_of[vs[0]], self.local[vs]) if len(vs) else None
+            [self.row_base[vs][:, None] + self.local[vs] if len(vs) else None
              for vs in g.vars_list]
             for g in groups
         ]
@@ -610,20 +581,16 @@ class _NewtonSystem:
 
     MAX_KRYLOV = 25
 
-    def __init__(self, factor, groups, Wx, A_dg_x, w2_dg):
+    def __init__(self, factor, groups, Wx):
         self.factor = factor
         self.groups = groups
         self.Wx = Wx
-        self.A_dg_x = A_dg_x
-        self.w2_dg = w2_dg
 
     def apply(self, v):
         out = np.zeros(len(v), dtype=_XP)
         for g, W in zip(self.groups, self.Wx):
             V = (g.G_x @ v).reshape(g.B, g.s, g.s)
             out += g.GT_x @ (W @ V @ W).ravel()
-        if self.A_dg_x is not None:
-            out += self.A_dg_x.T @ (self.w2_dg * (self.A_dg_x @ v))
         return out
 
     def solve(self, rhs1, r_e, target, floor):
@@ -677,6 +644,17 @@ class _NewtonSystem:
             Mdy += _XP(cf) * mzv
 
         return dy, self.factor.multipliers(Mdy - rhs1), True
+
+
+def _group_order(by_size):
+    """Block sizes in the order of their size groups: ascending, 1 last.
+
+    Every sum over groups then adds the 1x1 terms after those of the larger
+    blocks.  Degenerate relaxations are sensitive to that rounding order:
+    with the 1x1 group first, motzkin-chain-N2 cs-signsym k=5 ends
+    near_optimal after 24 iterations instead of optimal after 23.
+    """
+    return sorted(by_size, key=lambda s: (s == 1, s))
 
 
 def _nt_factor_stack(X, S):
@@ -735,15 +713,8 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
     for blk in sf.blocks:
         by_size.setdefault(blk.size, []).append(blk)
     groups = [
-        _SizeGroup(size, blks, m) for size, blks in sorted(by_size.items())
+        _SizeGroup(size, by_size[size], m) for size in _group_order(by_size)
     ]
-    dg = sf.diag
-    if dg is not None:
-        A_dg = sp.csr_matrix(
-            (dg.coefs, (dg.pos, dg.varids)), shape=(dg.size, m)
-        )
-        A_dgT = A_dg.T.tocsr()
-        dg_const = dg.const
     E = sf.eq_mat
     nf = sf.num_eq
     d = sf.eq_rhs if nf else np.zeros(0)
@@ -752,7 +723,6 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
     dim = total_dim
     data_scale = 1.0 + max(
         [float(np.abs(g.C).max()) if g.C.size else 0.0 for g in groups]
-        + [float(np.abs(dg_const).max()) if dg is not None else 0.0]
         + [float(np.abs(d).max()) if nf else 0.0]
     )
     obj_scale = 1.0 + float(np.abs(c).max()) if m else 1.0
@@ -767,14 +737,10 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
         )
         S[gi] = eta[:, None, None] * eye[g.s]
         X[gi] = max(10.0, obj_scale) * np.tile(eye[g.s], (g.B, 1, 1))
-    if dg is not None:
-        s_vec = np.full(dg.size, max(10.0, 1.5 * float(np.abs(dg_const).max())))
-        x_vec = np.full(dg.size, max(10.0, obj_scale))
     y = np.zeros(m)
     nu = np.zeros(nf)
 
-    ba = _BlockAngular(m, groups, dg, E if nf else None)
-    A_dg_x = A_dg.astype(_XP) if dg is not None else None
+    ba = _BlockAngular(m, groups, E if nf else None)
 
     best = None
     slow = 0
@@ -784,25 +750,20 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
     for it in range(1, max_iter + 1):
         iters_done = it
         Rlmi = {gi: g.lmi(y) - S[gi] for gi, g in enumerate(groups)}
-        r_dg = (dg_const + A_dg @ y - s_vec) if dg is not None else None
         r_e = d - E @ y if nf else np.zeros(0)
         Ax = np.zeros(m)
         for gi, g in enumerate(groups):
             Ax += g.adjoint(X[gi])
-        if dg is not None:
-            Ax += A_dgT @ x_vec
         r_d = c - Ax - (ET @ nu if nf else 0.0)
 
         gap_inner = sum(
             float(np.einsum("bij,bij->", X[gi], S[gi]))
             for gi in range(len(groups))
         )
-        if dg is not None:
-            gap_inner += float(x_vec @ s_vec)
         mu = gap_inner / dim
 
         pobj = c_gamma * float(c @ y)
-        # the Lagrangian at (y, X, x, nu): the dual residual is charged at y,
+        # the Lagrangian at (y, X, nu): the dual residual is charged at y,
         # so a residual no step removes shows in the gap instead of hiding
         dobj = c_gamma * float(
             (nu @ d if nf else 0.0)
@@ -810,14 +771,12 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
                 float(np.einsum("bij,bij->", X[gi], g.C))
                 for gi, g in enumerate(groups)
             )
-            - (float(x_vec @ dg_const) if dg is not None else 0.0)
             + float(r_d @ y)
         )
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pinf = max(
             [float(np.abs(r_e).max()) if nf else 0.0]
             + [float(np.abs(Rb).max()) if Rb.size else 0.0 for Rb in Rlmi.values()]
-            + [float(np.abs(r_dg).max()) if dg is not None else 0.0]
         ) / data_scale
         dinf = (float(np.abs(r_d).max()) if m else 0.0) / obj_scale
 
@@ -857,17 +816,10 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
         except np.linalg.LinAlgError:
             status = "numerical_issue"
             break
-        if dg is not None:
-            w_dg = np.sqrt(x_vec / s_vec)
-            lam_dg = np.sqrt(x_vec * s_vec)
 
         buf = np.zeros(ba.offsets[-1])
-        mats = ba.views(buf)
         for gi, g in enumerate(groups):
-            g.add_schur(nts[gi][2], mats, ba.place[gi])
-        if dg is not None:
-            D = (A_dgT @ sp.diags(w_dg ** 2) @ A_dg).tocoo()
-            buf[ba.row_base[D.row] + ba.local[D.col]] += D.data
+            g.add_schur(nts[gi][2], buf, ba.place[gi])
         try:
             factor = _BlockAngularFactor(ba, buf)
         except (ValueError, np.linalg.LinAlgError):
@@ -876,7 +828,6 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
         newton = _NewtonSystem(
             factor, groups,
             [nts[gi][2].astype(_XP) for gi in range(len(groups))],
-            A_dg_x, (w_dg ** 2).astype(_XP) if dg is not None else None,
         )
 
         # residual of the LMI in the NT-scaled space, shared by all solves
@@ -902,7 +853,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
         def sym(Z):
             return 0.5 * (Z + np.transpose(Z, (0, 2, 1)))
 
-        def direction(Gt, rc_dg):
+        def direction(Gt):
             """Newton direction for scaled complementarity targets Gt.
 
             In the NT-scaled space the linearized complementarity reads
@@ -913,8 +864,6 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
             rhs1 = -r_d.copy()
             for gi, g in enumerate(groups):
                 rhs1 += g.adjoint(unscale(gi, Gt[gi] - Rl_sc[gi]))
-            if dg is not None:
-                rhs1 += A_dgT @ (rc_dg - w_dg ** 2 * r_dg)
             dy, dnu, extended = newton.solve(
                 rhs1, r_e, solve_target, residual_floor
             )
@@ -931,28 +880,15 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
                 Ds[gi] = Dsg.astype(float)
                 Dx[gi] = Gt[gi] - Ds[gi]
                 dX[gi] = sym(unscale(gi, Dx[gi]))
-            dy = dy.astype(float)
-            if dg is not None:
-                ds_dg = A_dg @ dy + r_dg
-                dx_dg = rc_dg - w_dg ** 2 * ds_dg
-            else:
-                ds_dg = dx_dg = None
-            return dy, dnu, dS, dX, Ds, Dx, ds_dg, dx_dg
+            return dy.astype(float), dnu, dS, dX, Ds, Dx
 
         def step_lengths(d):
-            _, _, _, _, Ds, Dx, ds_dg, dx_dg = d
+            _, _, _, _, Ds, Dx = d
             ap = ad = np.inf
             for gi in range(len(groups)):
                 lam = nts[gi][1]
                 ap = min(ap, _min_step_stack(lam, Ds[gi]))
                 ad = min(ad, _min_step_stack(lam, Dx[gi]))
-            if dg is not None:
-                neg = ds_dg < 0
-                if neg.any():
-                    ap = min(ap, float((s_vec[neg] / -ds_dg[neg]).min()))
-                neg = dx_dg < 0
-                if neg.any():
-                    ad = min(ad, float((x_vec[neg] / -dx_dg[neg]).min()))
             # step fraction approaches 1 as full steps become possible
             gamma = 0.9 + 0.09 * min(1.0, ap, ad)
             return min(1.0, gamma * ap), min(1.0, gamma * ad)
@@ -970,10 +906,9 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
                 gi: diag_target(gi, -nts[gi][1] ** 2)
                 for gi in range(len(groups))
             }
-            rc_aff = -x_vec if dg is not None else None
-            aff = direction(G_aff, rc_aff)
+            aff = direction(G_aff)
             ap_a, ad_a = step_lengths(aff)
-            _, _, dS_a, dX_a, Ds_a, Dx_a, ds_a, dx_a = aff
+            _, _, dS_a, dX_a, Ds_a, Dx_a = aff
             gap_aff = sum(
                 float(np.einsum(
                     "bij,bij->",
@@ -982,10 +917,6 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
                 ))
                 for gi in range(len(groups))
             )
-            if dg is not None:
-                gap_aff += float(
-                    (x_vec + ad_a * dx_a) @ (s_vec + ap_a * ds_a)
-                )
             mu_aff = max(gap_aff / dim, 0.0)
             sigma = (mu_aff / mu) ** 3
             # keep complementarity commensurate with the remaining objective
@@ -1003,14 +934,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
                 ar = np.arange(g.s)
                 T[:, ar, ar] += sigma * mu - lam ** 2
                 G_corr[gi] = 2.0 * T / (lam[:, :, None] + lam[:, None, :])
-            if dg is not None:
-                Dxd = dx_a / w_dg
-                Dsd = w_dg * ds_a
-                t_dg = sigma * mu - lam_dg ** 2 - Dxd * Dsd
-                rc_corr = w_dg * t_dg / lam_dg
-            else:
-                rc_corr = None
-            best_dir = direction(G_corr, rc_corr)
+            best_dir = direction(G_corr)
             ap, ad = step_lengths(best_dir)
             if min(ap, ad) < 0.2 * min(ap_a, ad_a):
                 # the second-order correction overshoots on degenerate
@@ -1020,16 +944,12 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
                     gi: diag_target(gi, sigma_c * mu - nts[gi][1] ** 2)
                     for gi in range(len(groups))
                 }
-                if dg is not None:
-                    rc_cent = w_dg * (sigma_c * mu - lam_dg ** 2) / lam_dg
-                else:
-                    rc_cent = None
-                cand = direction(G_cent, rc_cent)
+                cand = direction(G_cent)
                 ap2, ad2 = step_lengths(cand)
                 if min(ap2, ad2) > min(ap, ad):
                     best_dir = cand
                     ap, ad = ap2, ad2
-            dy, dnu, dS, dX, _, _, ds_dg, dx_dg = best_dir
+            dy, dnu, dS, dX, _, _ = best_dir
         except (np.linalg.LinAlgError, ValueError):
             status = "numerical_issue"
             break
@@ -1046,9 +966,6 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
             Xnew = X[gi] + ad * dX[gi]
             S[gi] = 0.5 * (Snew + np.transpose(Snew, (0, 2, 1)))
             X[gi] = 0.5 * (Xnew + np.transpose(Xnew, (0, 2, 1)))
-        if dg is not None:
-            s_vec = s_vec + ap * ds_dg
-            x_vec = x_vec + ad * dx_dg
 
     err, pobj, dobj, relgap, pinf, dinf, y_best = best
     if status in ("max_iter", "stalled", "numerical_issue"):
@@ -1086,58 +1003,48 @@ def export_sdpa(sf, path):
     """Write the instance in SDPA sparse format (.dat-s).
 
     Equality rows are encoded as paired entries of a trailing diagonal block
-    (negative block size); folded 1x1 blocks land in the same diagonal block.
-    Quintuples are emitted in (matno, blkno, i, j) lexicographic order with
-    one-based indices, i <= j, 17 significant digits and LF line endings.
+    (negative block size); the 1x1 blocks land in the same diagonal block,
+    ahead of the pairs.  Quintuples are emitted in (matno, blkno, i, j)
+    lexicographic order with one-based indices, i <= j, 17 significant
+    digits and LF line endings.
     """
     nf = sf.num_eq
-    diag_size = (sf.diag.size if sf.diag else 0) + 2 * nf
-    sizes = [b.size for b in sf.blocks]
+    mat_blocks = [b for b in sf.blocks if b.size > 1]
+    ones = [b for b in sf.blocks if b.size == 1]
+    diag_size = len(ones) + 2 * nf
+    sizes = [b.size for b in mat_blocks]
     nblock = len(sizes) + (1 if diag_size else 0)
+    dbi = len(sizes) + 1
 
     entries = []  # (matno, blkno, i, j, value)
-
-    for bi, blk in enumerate(sf.blocks, start=1):
+    # block number in the file, and offset within it, of every block
+    places = [(bi, 0) for bi in range(1, dbi)]
+    places += [(dbi, p) for p in range(len(ones))]
+    for blk, (bno, off) in zip(mat_blocks + ones, places):
         for r, c, v in zip(blk.const_rows, blk.const_cols, blk.const_vals):
             if v != 0.0:
-                entries.append((0, bi, int(r) + 1, int(c) + 1, -v))
+                entries.append((0, bno, int(r) + off + 1, int(c) + off + 1, -v))
         agg = {}
         for r, c, vid, a in zip(blk.rows, blk.cols, blk.varids, blk.coefs):
-            key = (int(vid) + 1, bi, int(r) + 1, int(c) + 1)
+            key = (int(vid) + 1, bno, int(r) + off + 1, int(c) + off + 1)
             agg[key] = agg.get(key, 0.0) + a
-        for (mno, bno, i, j), v in agg.items():
-            if v != 0.0:
-                entries.append((mno, bno, i, j, v))
+        entries += [(*key, v) for key, v in agg.items() if v != 0.0]
 
-    if diag_size:
-        dbi = len(sizes) + 1
-        offset = 0
-        if sf.diag:
-            dgc = {}
-            for p, v, a in zip(sf.diag.pos, sf.diag.varids, sf.diag.coefs):
-                key = (int(v) + 1, int(p) + 1)
-                dgc[key] = dgc.get(key, 0.0) + a
-            for (mno, p), v in dgc.items():
-                if v != 0.0:
-                    entries.append((mno, dbi, p, p, v))
-            for p, v in enumerate(sf.diag.const):
-                if v != 0.0:
-                    entries.append((0, dbi, p + 1, p + 1, -v))
-            offset = sf.diag.size
-        if nf:
-            coo = sf.eq_mat.tocoo()
-            for r, ccol, v in zip(coo.row, coo.col, coo.data):
-                if v == 0.0:
-                    continue
-                p_plus = offset + 2 * int(r) + 1
-                p_minus = p_plus + 1
-                entries.append((int(ccol) + 1, dbi, p_plus, p_plus, v))
-                entries.append((int(ccol) + 1, dbi, p_minus, p_minus, -v))
-            for r, b in enumerate(sf.eq_rhs):
-                if b != 0.0:
-                    p_plus = offset + 2 * r + 1
-                    entries.append((0, dbi, p_plus, p_plus, b))
-                    entries.append((0, dbi, p_plus + 1, p_plus + 1, -b))
+    if nf:
+        offset = len(ones)
+        coo = sf.eq_mat.tocoo()
+        for r, ccol, v in zip(coo.row, coo.col, coo.data):
+            if v == 0.0:
+                continue
+            p_plus = offset + 2 * int(r) + 1
+            p_minus = p_plus + 1
+            entries.append((int(ccol) + 1, dbi, p_plus, p_plus, v))
+            entries.append((int(ccol) + 1, dbi, p_minus, p_minus, -v))
+        for r, b in enumerate(sf.eq_rhs):
+            if b != 0.0:
+                p_plus = offset + 2 * r + 1
+                entries.append((0, dbi, p_plus, p_plus, b))
+                entries.append((0, dbi, p_plus + 1, p_plus + 1, -b))
 
     entries.sort(key=lambda e: e[:4])
     with open(path, "w", newline="\n") as fh:
@@ -1154,10 +1061,14 @@ def export_sdpa(sf, path):
 
 
 def read_sdpa(path):
-    """Parse a .dat-s file back into an SdpStandardForm (no equality rows).
+    """Parse a .dat-s file back into an SdpStandardForm.
 
-    Diagonal blocks become a DiagBlockData; the file encodes
-    min c'x s.t. sum x_l F_l - F0 PSD, which maps to C = -F0 here.
+    The file encodes min c'x s.t. sum x_l F_l - F0 PSD, which maps to
+    C = -F0 here.  Diagonal blocks and blocks of size 1 form one run of
+    diagonal entries: opposed consecutive entries (the writer's encoding of
+    an equality row) become equality rows, every other entry a 1x1 block.
+    An entry outside the declared matrices, blocks or block sizes raises
+    SolveError.
     """
     with open(path) as fh:
         lines = [
@@ -1168,6 +1079,8 @@ def read_sdpa(path):
     nblock = int(lines[1].split()[0])
     clean = lines[2].replace("{", " ").replace("}", " ").replace(",", " ")
     sizes = [int(tok) for tok in clean.split()][:nblock]
+    if len(sizes) != nblock:
+        raise SolveError(f"{len(sizes)} block sizes for {nblock} blocks")
     cvec = np.array(
         [float(t) for t in
          lines[3].replace("{", " ").replace("}", " ").replace(",", " ").split()]
@@ -1175,32 +1088,35 @@ def read_sdpa(path):
     if len(cvec) != mdim:
         raise SolveError(f"objective length {len(cvec)} != mDIM {mdim}")
 
-    mat_blocks = [i for i, s in enumerate(sizes) if s > 1]
-    diag_blocks = {i: abs(s) for i, s in enumerate(sizes) if s < 0}
-    one_blocks = [i for i, s in enumerate(sizes) if s == 1]
-
     per = {
         i: {"rows": [], "cols": [], "vids": [], "coefs": [],
             "crows": [], "ccols": [], "cvals": []}
-        for i in mat_blocks
+        for i, s in enumerate(sizes) if s > 1
     }
-    diag_offsets = {}
-    off = 0
-    for i in sorted(list(diag_blocks) + one_blocks):
-        diag_offsets[i] = off
-        off += diag_blocks.get(i, 1)
-    dsize = off
-    dpos, dvid, dcoef = [], [], []
-    dconst = np.zeros(dsize)
+    # first slot of each diagonal or size-1 block in the run of diagonal
+    # entries, and a label per slot
+    slot0, labels = {}, []
+    for i, s in enumerate(sizes):
+        if s < 0 or s == 1:
+            slot0[i] = len(labels)
+            labels += [f"b{i + 1}:{j + 1}" for j in range(abs(s))]
+    slots = [{} for _ in labels]  # variable -> coefficient, per slot
+    dconst = np.zeros(len(labels))
 
     for ln in lines[4:]:
         toks = ln.split()
         if len(toks) != 5:
             raise SolveError(f"malformed entry line: {ln!r}")
-        mno, bno, i, j, v = (
-            int(toks[0]), int(toks[1]) - 1, int(toks[2]) - 1,
-            int(toks[3]) - 1, float(toks[4]),
-        )
+        mno, bno, i, j = (int(t) for t in toks[:4])
+        v = float(toks[4])
+        if not 0 <= mno <= mdim:
+            raise SolveError(f"matrix number outside 0..{mdim}: {ln!r}")
+        if not 1 <= bno <= nblock:
+            raise SolveError(f"block number outside 1..{nblock}: {ln!r}")
+        n = abs(sizes[bno - 1])
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise SolveError(f"entry outside its block of size {n}: {ln!r}")
+        bno, i, j = bno - 1, i - 1, j - 1
         if bno in per:
             tgt = per[bno]
             r, c = min(i, j), max(i, j)
@@ -1216,85 +1132,52 @@ def read_sdpa(path):
         else:
             if i != j:
                 raise SolveError("off-diagonal entry in a diagonal block")
-            p = diag_offsets[bno] + i
+            p = slot0[bno] + i
             if mno == 0:
                 dconst[p] += -v
             else:
-                dpos.append(p)
-                dvid.append(mno - 1)
-                dcoef.append(v)
+                slots[p][mno - 1] = slots[p].get(mno - 1, 0.0) + v
 
-    blocks = []
-    for i in mat_blocks:
-        t = per[i]
-        blocks.append(
-            PsdBlockData(
-                label=f"b{i + 1}",
-                size=sizes[i],
-                rows=np.asarray(t["rows"], dtype=np.int64),
-                cols=np.asarray(t["cols"], dtype=np.int64),
-                varids=np.asarray(t["vids"], dtype=np.int64),
-                coefs=np.asarray(t["coefs"], dtype=float),
-                const_rows=np.asarray(t["crows"], dtype=np.int64),
-                const_cols=np.asarray(t["ccols"], dtype=np.int64),
-                const_vals=np.asarray(t["cvals"], dtype=float),
-            )
-        )
-    diag = None
+    blocks = [
+        psd_block(f"b{i + 1}", sizes[i], t["rows"], t["cols"], t["vids"],
+                  t["coefs"], t["crows"], t["ccols"], t["cvals"])
+        for i, t in per.items()
+    ]
+    # opposed consecutive diagonal entries encode equality rows (our
+    # writer's convention); rebuilding them keeps the solve
+    # well-conditioned and is an equivalent problem either way
+    paired = set()
+    eq_rows = []
+    for p in range(len(slots) - 1):
+        row, mate = slots[p], slots[p + 1]
+        if p in paired or not row or set(row) != set(mate):
+            continue
+        if all(row[v] + mate[v] == 0.0 for v in row) and (
+            dconst[p] == -dconst[p + 1]
+        ):
+            eq_rows.append((row, -dconst[p]))
+            paired.update((p, p + 1))
+    for p, (label, row) in enumerate(zip(labels, slots)):
+        if p not in paired:
+            blocks.append(psd_block(label, 1, [0] * len(row), [0] * len(row),
+                                    list(row), list(row.values()),
+                                    [0], [0], [dconst[p]]))
     eq_mat = None
     eq_rhs = None
-    if dsize:
-        # opposed consecutive diagonal entries encode equality rows (our
-        # writer's convention); rebuilding them keeps the solve
-        # well-conditioned and is an equivalent problem either way
-        per_pos = {}
-        for p, v, a in zip(dpos, dvid, dcoef):
-            per_pos.setdefault(p, {})[v] = per_pos.setdefault(p, {}).get(v, 0.0) + a
-        paired = set()
-        eq_rows = []
-        for p in range(dsize - 1):
-            if p in paired or (p + 1) in paired:
-                continue
-            row = per_pos.get(p)
-            mate = per_pos.get(p + 1)
-            if not row or not mate or set(row) != set(mate):
-                continue
-            if all(abs(row[v] + mate[v]) <= 0.0 for v in row) and (
-                dconst[p] == -dconst[p + 1]
-            ):
-                eq_rows.append((row, -dconst[p]))
-                paired.add(p)
-                paired.add(p + 1)
-        if eq_rows:
-            data, ri, ci, rb = [], [], [], []
-            for r, (row, b) in enumerate(eq_rows):
-                for v, a in sorted(row.items()):
-                    ri.append(r)
-                    ci.append(v)
-                    data.append(a)
-                rb.append(b)
-            eq_mat = sp.csr_matrix((data, (ri, ci)), shape=(len(eq_rows), mdim))
-            eq_rhs = np.asarray(rb)
-        keep = [i for i, p in enumerate(dpos) if p not in paired]
-        remap = {}
-        for p in range(dsize):
-            if p not in paired:
-                remap[p] = len(remap)
-        if remap:
-            diag = DiagBlockData(
-                size=len(remap),
-                pos=np.asarray([remap[dpos[i]] for i in keep], dtype=np.int64),
-                varids=np.asarray([dvid[i] for i in keep], dtype=np.int64),
-                coefs=np.asarray([dcoef[i] for i in keep], dtype=float),
-                const=np.asarray(
-                    [dconst[p] for p in range(dsize) if p not in paired]
-                ),
-            )
+    if eq_rows:
+        data, ri, ci, rb = [], [], [], []
+        for r, (row, b) in enumerate(eq_rows):
+            for v, a in sorted(row.items()):
+                ri.append(r)
+                ci.append(v)
+                data.append(a)
+            rb.append(b)
+        eq_mat = sp.csr_matrix((data, (ri, ci)), shape=(len(eq_rows), mdim))
+        eq_rhs = np.asarray(rb)
     return SdpStandardForm(
         num_vars=mdim,
         objective=cvec,
         blocks=blocks,
-        diag=diag,
         eq_mat=eq_mat,
         eq_rhs=eq_rhs,
     )

@@ -130,7 +130,7 @@ def test_criterion_4_valley_chain_and_export(tmp_path):
     export_sdpa(sf, str(path))
     back = read_sdpa(str(path))
     assert back.num_vars == sf.num_vars
-    assert len(back.blocks) == sum(1 for b in sf.blocks if b.size > 1)
+    assert len(back.blocks) == len(sf.blocks)
     lines = path.read_text().splitlines()
     assert int(lines[0]) == sf.num_vars
     sizes = [int(tok) for tok in lines[2].split()]

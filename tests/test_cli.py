@@ -6,7 +6,7 @@ from ratsos import relax
 from ratsos.cli import EXIT_BUILD, EXIT_PARSE, EXIT_SOLVE_NOT_OK, main
 from ratsos.families import gen_unit_ball_mix
 from ratsos.problem import parse, serialize
-from ratsos.sdp import SolveReport
+from ratsos.sdp import SolveReport, to_standard_form
 
 
 @pytest.fixture
@@ -258,22 +258,38 @@ class TestBench:
         assert main(["bench", "table99"]) == EXIT_BUILD
 
 
+def load_bench_spans(monkeypatch):
+    """bench/spans.py, loaded by path (bench/ is not a package)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 class TestBenchTracer:
     def test_tracer_targets_exist(self, monkeypatch):
         # the benchmark tracer wraps these names on the modules' globals;
         # a rename would break `bench/run.py --trace 1` silently
         import importlib
-        import importlib.util
-        import sys
-        from pathlib import Path
 
-        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("bench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        # its dataclasses resolve annotations through sys.modules
-        monkeypatch.setitem(sys.modules, spec.name, spans)
-        spec.loader.exec_module(spans)
+        spans = load_bench_spans(monkeypatch)
         assert spans.TARGETS
         for mod_name, attr, _ in spans.TARGETS:
             module = importlib.import_module(f"ratsos.{mod_name}")
             assert callable(getattr(module, attr, None)), (mod_name, attr)
+
+    def test_standard_form_sizes_keep_their_meaning(self, monkeypatch):
+        # psd_dim counts each of the four 1x1 blocks once; max_block is the
+        # largest moment block
+        spans = load_bench_spans(monkeypatch)
+        sf = to_standard_form(relax.build(gen_unit_ball_mix(), "signsym", 2))
+        sizes = spans.standard_form_sizes(sf)
+        assert sizes["psd_dim"] == 42
+        assert sizes["max_block"] == 10

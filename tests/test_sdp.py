@@ -15,7 +15,6 @@ from ratsos.families import (
 )
 from ratsos.relax import build, reported_bound
 from ratsos.sdp import (
-    DiagBlockData,
     PsdBlockData,
     SdpStandardForm,
     export_sdpa,
@@ -157,16 +156,23 @@ class TestInternalSolver:
             solve_internal(sf, psd_cap=2)
 
     def test_diag_block_solve(self):
-        # min y1 + y2 s.t. y1 >= 1, y2 >= 2 via the diagonal cone
-        diag = DiagBlockData(
-            size=2,
-            pos=np.array([0, 1]),
-            varids=np.array([0, 1]),
-            coefs=np.array([1.0, 1.0]),
-            const=np.array([-1.0, -2.0]),
-        )
+        # min y1 + y2 s.t. y1 >= 1, y2 >= 2 as two 1x1 PSD blocks
+        blocks = [
+            PsdBlockData(
+                label=f"d{v}",
+                size=1,
+                rows=np.array([0]),
+                cols=np.array([0]),
+                varids=np.array([v]),
+                coefs=np.array([1.0]),
+                const_rows=np.array([0]),
+                const_cols=np.array([0]),
+                const_vals=np.array([-1.0 - v]),
+            )
+            for v in range(2)
+        ]
         sf = SdpStandardForm(
-            num_vars=2, objective=np.array([1.0, 1.0]), blocks=[], diag=diag
+            num_vars=2, objective=np.array([1.0, 1.0]), blocks=blocks
         )
         rep = solve_internal(sf, tol=1e-9)
         assert rep.status == "optimal"
@@ -174,10 +180,10 @@ class TestInternalSolver:
 
     @pytest.mark.parametrize("max_iter", [6, 9, 13])
     def test_capped_solve(self, max_iter):
-        # equality rows and folded 1x1 rows; capped, the loop ends short of
+        # equality rows and 1x1 blocks; capped, the loop ends short of
         # tol (15 iterations reach it) and reports its best iterate
         sf = to_standard_form(build(gen_unit_ball_mix(), "signsym", 2))
-        assert sf.diag is not None and sf.num_eq
+        assert 1 in sf.block_sizes() and sf.num_eq
         rep = solve_internal(sf, max_iter=max_iter)
         assert rep.iterations == max_iter
         values = [rep.primal, rep.dual, rep.gap, rep.pinf, rep.dinf]
@@ -206,10 +212,10 @@ def schur_structure(sf):
     for blk in sf.blocks:
         by_size.setdefault(blk.size, []).append(blk)
     groups = [
-        sdp._SizeGroup(size, blks, sf.num_vars)
-        for size, blks in sorted(by_size.items())
+        sdp._SizeGroup(size, by_size[size], sf.num_vars)
+        for size in sdp._group_order(by_size)
     ]
-    return groups, sdp._BlockAngular(sf.num_vars, groups, sf.diag, sf.eq_mat)
+    return groups, sdp._BlockAngular(sf.num_vars, groups, sf.eq_mat)
 
 
 def first_iterate_schur(sf):
@@ -219,14 +225,12 @@ def first_iterate_schur(sf):
     is W_b = sqrt(10 / eta_b) I and M = sum_b (10 / eta_b) G_b' G_b, with
     G_b the vectorized LMI map of block b.
     """
-    assert sf.diag is None
     groups, ba = schur_structure(sf)
     buf = np.zeros(ba.offsets[-1])
-    mats = ba.views(buf)
     dense = np.zeros((sf.num_vars, sf.num_vars))
     for g, place in zip(groups, ba.place):
         eta = np.maximum(10.0, 1.5 * np.sqrt((g.C ** 2).sum(axis=(1, 2))))
-        g.add_schur(np.sqrt(10.0 / eta)[:, None, None] * np.eye(g.s), mats, place)
+        g.add_schur(np.sqrt(10.0 / eta)[:, None, None] * np.eye(g.s), buf, place)
         ss = g.s * g.s
         for b in range(g.B):
             Gb = g.G[b * ss:(b + 1) * ss]
@@ -350,10 +354,10 @@ class TestBlockAngularNewton:
         for g, place in zip(groups, ba.place):
             A = rng.normal(size=(g.B, g.s, g.s))
             W = A @ np.transpose(A, (0, 2, 1)) + np.eye(g.s)
-            mats = ba.views(np.zeros(ba.offsets[-1]))
-            g.add_schur(W, mats, place)
+            buf = np.zeros(ba.offsets[-1])
+            g.add_schur(W, buf, place)
             got = np.zeros((m, m))
-            for vs, Mk in zip(ba.vars, mats):
+            for vs, Mk in zip(ba.vars, ba.views(buf)):
                 got[np.ix_(vs, vs)] = Mk
             counts = np.diff(g.row_splits)
             Wrows = W[np.repeat(np.arange(g.B), counts)]
@@ -389,10 +393,36 @@ class TestSdpaFormat:
         back = read_sdpa(str(path))
         # paired diagonal entries are recognized and restored as equalities
         assert back.num_eq == 2
-        assert back.diag is None
+        assert 1 not in back.block_sizes()
         rep2 = solve_internal(back, tol=1e-9)
         assert rep2.ok()
         assert abs(rep2.primal - rep1.primal) <= 1e-8 * max(1.0, abs(rep1.primal))
+
+    def test_round_trip_one_by_one_blocks_with_equalities(self, tmp_path):
+        # four 1x1 blocks and 13 equality rows share the trailing diagonal
+        # block of the file
+        sf = to_standard_form(build(gen_unit_ball_mix(), "signsym", 2))
+        assert sf.block_sizes().count(1) == 4 and sf.num_eq == 13
+        first, second = tmp_path / "a.dat-s", tmp_path / "b.dat-s"
+        export_sdpa(sf, str(first))
+        back = read_sdpa(str(first))
+        export_sdpa(back, str(second))
+        assert first.read_bytes() == second.read_bytes()
+        assert back.num_eq == sf.num_eq
+        assert back.total_psd_dim() == sf.total_psd_dim() == 42
+        assert sorted(back.block_sizes()) == sorted(sf.block_sizes())
+
+    @pytest.mark.parametrize("entry", [
+        "1 3 1 1 1.0",  # block 3 of 2
+        "1 1 3 3 1.0",  # entry (3, 3) of a 2x2 block
+        "1 2 5 5 1.0",  # entry (5, 5) of a size -2 diagonal block
+        "3 1 1 1 1.0",  # matrix 3 of mDIM 2
+    ], ids=["block", "matrix-entry", "diagonal-entry", "matrix-number"])
+    def test_read_rejects_out_of_range_entries(self, tmp_path, entry):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(f"2\n2\n2 -2\n1 1\n{entry}\n")
+        with pytest.raises(SolveError, match="outside"):
+            read_sdpa(str(path))
 
     def test_trivial_round_trip(self, tmp_path):
         sf = trivial_sdp()
