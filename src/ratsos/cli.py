@@ -91,7 +91,14 @@ def _result_payload(prob, res):
 def _parse_orders(args, prob, method):
     if args.orders:
         lo, _, hi = args.orders.partition("..")
-        orders = list(range(int(lo), int(hi) + 1))
+        try:
+            orders = list(range(int(lo), int(hi) + 1))
+        except ValueError:
+            orders = []
+        if not orders:
+            raise BuildError(
+                f"--orders takes K1..K2 with K1 <= K2, not {args.orders!r}"
+            )
     elif args.order is not None:
         orders = [args.order]
     else:
@@ -109,7 +116,12 @@ def cmd_solve(args):
     prob = _load_problem(args.file, maximize=args.maximize)
     ratio_order = None
     if args.ratio_order:
-        ratio_order = tuple(int(t) - 1 for t in args.ratio_order.split(","))
+        try:
+            ratio_order = tuple(int(t) - 1 for t in args.ratio_order.split(","))
+        except ValueError:
+            raise BuildError(
+                f"--ratio-order takes ratio numbers, not {args.ratio_order!r}"
+            ) from None
     orders = _parse_orders(args, prob, args.method)
 
     if args.solver == "sdpa-export":

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import re
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +95,6 @@ class SolveReport:
     dual: float
     gap: float
     iterations: int
-    block_sizes: tuple
-    wall_time: float
     pinf: float = float("nan")
     dinf: float = float("nan")
     y: np.ndarray | None = None
@@ -127,7 +124,7 @@ def _dedupe_rows(rows_cols_vals):
     return keep
 
 
-def to_standard_form(rsdp, dedupe=True):
+def to_standard_form(rsdp):
     """Repack a relaxation into solver form.
 
     The blocks are kept as built, 1x1 blocks included; equality rows are
@@ -141,10 +138,7 @@ def to_standard_form(rsdp, dedupe=True):
         triples = [
             (list(cols), list(vals), float(b)) for cols, vals, b in rsdp.eq_rows
         ]
-        if dedupe:
-            keep = _dedupe_rows(triples)
-        else:
-            keep = [i for i, t in enumerate(triples) if len(t[1])]
+        keep = _dedupe_rows(triples)
         data, ri, ci, rb = [], [], [], []
         for new_r, old_r in enumerate(keep):
             cols, vals, b = triples[old_r]
@@ -177,32 +171,26 @@ def to_standard_form(rsdp, dedupe=True):
 class _SizeGroup:
     """All PSD blocks of one size, stacked for batched linear algebra.
 
-    Per-block F tensors feed the Schur assembly (real BLAS work); everything
-    else (residuals, scalings, step lengths) runs on (B, s, s) stacks, so
-    many small blocks cost barely more than one large one.
+    G is the vectorized LMI map: entry (b*s*s + i*s + j, l) is F_{b,l}[i, j].
+    The per-block F tensors of the Schur assembly are slices of G' (Fcat
+    densified); everything else (residuals, scalings, step lengths) runs
+    on (B, s, s) stacks, so many small blocks cost barely more than one
+    large one.  Products with G take the dtype of their operand.
     """
 
     def __init__(self, size, blocks, m):
         self.s = size
         self.B = len(blocks)
-        self.vars_list = []
-        F_list = []
-        self.Fm_list = []
+        self.vars_list = [np.unique(blk.varids) for blk in blocks]
         C = np.zeros((self.B, size, size))
         g_rows, g_cols, g_vals = [], [], []
         ss = size * size
         for b, blk in enumerate(blocks):
-            vars_b = np.unique(blk.varids)
-            local = {g: i for i, g in enumerate(vars_b)}
-            F = np.zeros((len(vars_b), size, size))
             for r, cc, v, a in zip(blk.rows, blk.cols, blk.varids, blk.coefs):
-                li = local[v]
-                F[li, r, cc] += a
                 g_rows.append(b * ss + r * size + cc)
                 g_cols.append(v)
                 g_vals.append(a)
                 if r != cc:
-                    F[li, cc, r] += a
                     g_rows.append(b * ss + cc * size + r)
                     g_cols.append(v)
                     g_vals.append(a)
@@ -210,22 +198,20 @@ class _SizeGroup:
                 C[b, r, cc] += a
                 if r != cc:
                     C[b, cc, r] += a
-            self.vars_list.append(vars_b)
-            F_list.append(F)
-            self.Fm_list.append(sp.csr_matrix(F.reshape(len(vars_b), ss)))
         self.C = C
         self.G = sp.csr_matrix(
             (g_vals, (g_rows, g_cols)), shape=(self.B * ss, m)
         )
         self.GT = self.G.T.tocsr()
-        self.G_x = self.G.astype(_XP)
-        self.GT_x = self.GT.astype(_XP)
+        self.Fm_list = [
+            self.GT[vs][:, b * ss:(b + 1) * ss]
+            for b, vs in enumerate(self.vars_list)
+        ]
         counts = [len(v) for v in self.vars_list]
         self.row_splits = np.cumsum([0] + counts)
-        self.Fcat = (
-            np.concatenate(F_list) if counts else
-            np.zeros((0, size, size))
-        )
+        self.Fcat = np.concatenate(
+            [F.toarray() for F in self.Fm_list]
+        ).reshape(-1, size, size)
 
     def lmi_step(self, dy):
         return (self.G @ dy).reshape(self.B, self.s, self.s)
@@ -321,11 +307,6 @@ class _BlockAngular:
             comp_of[vs] = k
             self.local[vs] = np.arange(len(vs))
         self.offsets = np.concatenate([[0], np.cumsum(counts ** 2)])
-        # flat positions of the component diagonals, one run per component
-        self.diag_pos = np.concatenate(
-            [off + np.arange(n) * (n + 1) for off, n in zip(self.offsets, counts)]
-        )
-        self.diag_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         # flat position of entry (i, j) of a component matrix: row_base[i] + local[j]
         self.row_base = self.offsets[comp_of] + self.local * counts[comp_of]
         self.class_vars = [
@@ -441,7 +422,7 @@ def _pivoted_qr(At):
     return Q[:, :r], R[:r, :r], piv[:r]
 
 
-def _cholesky(A, scale, shift=0.0):
+def _cholesky(A, scale):
     """(upper Cholesky factor, shift) of A + shift I, climbing the ladder.
 
     The shift is zero unless rounding makes A numerically indefinite (late
@@ -449,6 +430,7 @@ def _cholesky(A, scale, shift=0.0):
     rung that lets Cholesky through, and the factor is only a
     preconditioner for the Krylov solve in `_NewtonSystem`.
     """
+    shift = 0.0
     while True:
         with np.errstate(all="ignore"):
             shifted = A + shift * np.eye(len(A)) if shift else A
@@ -502,22 +484,14 @@ class _BlockAngularFactor:
                 for k in range(k1 - k0):
                     _syr2k(1.0, Qs[k], B[k], beta=1.0, c=Mt[k0 + k],
                            overwrite_c=True)
-        scales = np.maximum.reduceat(np.abs(tbuf[ba.diag_pos]), ba.diag_starts)
         # a variable in no block is a component with a zero matrix; the
         # ladder still needs a scale for it
+        scales = np.array([np.abs(np.diag(Mk)).max() for Mk in Mt])
         scales[scales == 0.0] = 1.0
         self.diag_max = float(scales.max())
-        # factor in place in a copy, so a component that fails can climb
-        # the shift ladder from its restricted matrix
-        cbuf = tbuf.copy()
-        self.cho = ba.views(cbuf, order="F")
-        with np.errstate(all="ignore"):
-            info = [_potrf(c, lower=0, clean=0, overwrite_a=1)[1] for c in self.cho]
-        good = np.logical_and.reduceat(np.isfinite(cbuf[ba.diag_pos]), ba.diag_starts)
-        shifts = [0.0]
-        for k in np.flatnonzero(~good | (np.asarray(info) != 0)):
-            self.cho[k], shift = _cholesky(Mt[k], scales[k], 1e-14 * scales[k])
-            shifts.append(shift)
+        factors = [_cholesky(Mk, scale) for Mk, scale in zip(Mt, scales)]
+        self.cho = [cho for cho, _ in factors]
+        shifts = [shift for _, shift in factors]
         if ba.r_L:
             self.Y = self._block_solve(ba.U)
             UY = ba.U.T @ self.Y
@@ -581,22 +555,25 @@ class _NewtonSystem:
 
     MAX_KRYLOV = 25
 
-    def __init__(self, factor, groups, Wx):
+    def __init__(self, factor, groups, W):
         self.factor = factor
         self.groups = groups
-        self.Wx = Wx
+        self.W = W
 
     def apply(self, v):
+        """M v for a longdouble v; the double G and W widen exactly."""
         out = np.zeros(len(v), dtype=_XP)
-        for g, W in zip(self.groups, self.Wx):
-            V = (g.G_x @ v).reshape(g.B, g.s, g.s)
-            out += g.GT_x @ (W @ V @ W).ravel()
+        for g, W in zip(self.groups, self.W):
+            V = g.lmi_step(v)
+            out += g.adjoint(W @ V @ W)
         return out
 
     def solve(self, rhs1, r_e, target, floor):
-        """(dy, dnu, extended) leaving a residual of about `target` at most.
+        """(dy, dnu) leaving a residual of about `target` at most.
 
-        The double-precision solve is kept when its rounding error bound
+        dy is longdouble exactly when the solve was refined, so that what
+        is computed from it stays in extended precision.  The
+        double-precision solve is kept when its rounding error bound
         eps |M| |dy|_1 already meets the target (every early iteration).
         Otherwise its residual is taken in extended precision and reduced
         by right-preconditioned GMRES on null(E): GMRES minimizes the
@@ -612,7 +589,7 @@ class _NewtonSystem:
             np.abs(dy).sum()
         )
         if self.factor.shift == 0.0 and max(bound, res) <= target:
-            return dy, dnu, False
+            return dy, dnu
         project = self.factor.project
         rhs1 = rhs1.astype(_XP)
         dy = dy.astype(_XP)
@@ -643,7 +620,7 @@ class _NewtonSystem:
             dy += _XP(cf) * zv
             Mdy += _XP(cf) * mzv
 
-        return dy, self.factor.multipliers(Mdy - rhs1), True
+        return dy, self.factor.multipliers(Mdy - rhs1)
 
 
 def _group_order(by_size):
@@ -680,7 +657,7 @@ def _min_step_stack(lam, D):
     return float((-1.0 / emin[bad]).min())
 
 
-def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
+def solve_internal(sf, tol=1e-8, max_iter=200, verbose=False):
     """Solve the block SDP with the built-in interior-point method.
 
     Nesterov-Todd scaled path following with a Mehrotra predictor-corrector
@@ -690,12 +667,10 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
     the optimum that system is solved to extended accuracy
     (`_NewtonSystem`).  Deterministic: fixed
     initialization and iteration rule, no randomness.  Raises
-    ProblemTooLargeError above the size cap (RATSOS_PSD_CAP or `psd_cap`
-    overrides the default of 3000).
+    ProblemTooLargeError above the size cap (RATSOS_PSD_CAP overrides the
+    default of 3000).
     """
-    t0 = time.perf_counter()
-    if psd_cap is None:
-        psd_cap = int(os.environ.get("RATSOS_PSD_CAP", DEFAULT_PSD_CAP))
+    psd_cap = int(os.environ.get("RATSOS_PSD_CAP", DEFAULT_PSD_CAP))
     total_dim = sf.total_psd_dim()
     if total_dim > psd_cap:
         raise ProblemTooLargeError(
@@ -826,8 +801,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
             status = "numerical_issue"
             break
         newton = _NewtonSystem(
-            factor, groups,
-            [nts[gi][2].astype(_XP) for gi in range(len(groups))],
+            factor, groups, [nts[gi][2] for gi in range(len(groups))]
         )
 
         # residual of the LMI in the NT-scaled space, shared by all solves
@@ -857,27 +831,21 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
             """Newton direction for scaled complementarity targets Gt.
 
             In the NT-scaled space the linearized complementarity reads
-            Dx + Ds = Gt with Ds = R' dS R and Dx = R^-1 dX R^-T.  The
-            Schur solve and Ds (where the large and small eigen-directions
-            of W cancel) are taken in extended precision.
+            Dx + Ds = Gt with Ds = R' dS R and Dx = R^-1 dX R^-T.  When the
+            Schur solve is refined, dy is longdouble, and dS and Ds (where
+            the large and small eigen-directions of W cancel) follow it
+            into extended precision before they are rounded back.
             """
             rhs1 = -r_d.copy()
             for gi, g in enumerate(groups):
                 rhs1 += g.adjoint(unscale(gi, Gt[gi] - Rl_sc[gi]))
-            dy, dnu, extended = newton.solve(
-                rhs1, r_e, solve_target, residual_floor
-            )
+            dy, dnu = newton.solve(rhs1, r_e, solve_target, residual_floor)
             dS, dX, Ds, Dx = {}, {}, {}, {}
             for gi, g in enumerate(groups):
-                if extended:
-                    dSg = sym((g.G_x @ dy).reshape(g.B, g.s, g.s) + Rlmi[gi])
-                    R = nts[gi][0].astype(_XP)
-                else:
-                    dSg = sym(g.lmi_step(dy) + Rlmi[gi])
-                    R = nts[gi][0]
-                Dsg = sym(np.transpose(R, (0, 2, 1)) @ dSg @ R)
+                dSg = sym(g.lmi_step(dy) + Rlmi[gi])
+                R = nts[gi][0]
                 dS[gi] = dSg.astype(float)
-                Ds[gi] = Dsg.astype(float)
+                Ds[gi] = sym(np.transpose(R, (0, 2, 1)) @ dSg @ R).astype(float)
                 Dx[gi] = Gt[gi] - Ds[gi]
                 dX[gi] = sym(unscale(gi, Dx[gi]))
             return dy.astype(float), dnu, dS, dX, Ds, Dx
@@ -934,22 +902,9 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
                 ar = np.arange(g.s)
                 T[:, ar, ar] += sigma * mu - lam ** 2
                 G_corr[gi] = 2.0 * T / (lam[:, :, None] + lam[:, None, :])
-            best_dir = direction(G_corr)
-            ap, ad = step_lengths(best_dir)
-            if min(ap, ad) < 0.2 * min(ap_a, ad_a):
-                # the second-order correction overshoots on degenerate
-                # faces; retreat to plain predictor-plus-centering
-                sigma_c = max(sigma, 0.1)
-                G_cent = {
-                    gi: diag_target(gi, sigma_c * mu - nts[gi][1] ** 2)
-                    for gi in range(len(groups))
-                }
-                cand = direction(G_cent)
-                ap2, ad2 = step_lengths(cand)
-                if min(ap2, ad2) > min(ap, ad):
-                    best_dir = cand
-                    ap, ad = ap2, ad2
-            dy, dnu, dS, dX, _, _ = best_dir
+            corr = direction(G_corr)
+            ap, ad = step_lengths(corr)
+            dy, dnu, dS, dX, _, _ = corr
         except (np.linalg.LinAlgError, ValueError):
             status = "numerical_issue"
             break
@@ -982,8 +937,6 @@ def solve_internal(sf, tol=1e-8, max_iter=200, psd_cap=None, verbose=False):
         dual=dobj,
         gap=relgap,
         iterations=iters_done,
-        block_sizes=sf.block_sizes(),
-        wall_time=time.perf_counter() - t0,
         pinf=pinf,
         dinf=dinf,
         y=y_best,
@@ -1067,24 +1020,27 @@ def read_sdpa(path):
     C = -F0 here.  Diagonal blocks and blocks of size 1 form one run of
     diagonal entries: opposed consecutive entries (the writer's encoding of
     an equality row) become equality rows, every other entry a 1x1 block.
-    An entry outside the declared matrices, blocks or block sizes raises
-    SolveError.
+    A malformed header or entry line, or an entry outside the declared
+    matrices, blocks or block sizes, raises SolveError.
     """
     with open(path) as fh:
         lines = [
             ln for ln in fh.read().splitlines()
             if ln.strip() and not ln.lstrip().startswith(("*", '"'))
         ]
-    mdim = int(lines[0].split()[0])
-    nblock = int(lines[1].split()[0])
-    clean = lines[2].replace("{", " ").replace("}", " ").replace(",", " ")
-    sizes = [int(tok) for tok in clean.split()][:nblock]
+    try:
+        mdim = int(lines[0].split()[0])
+        nblock = int(lines[1].split()[0])
+        clean = [
+            ln.replace("{", " ").replace("}", " ").replace(",", " ").split()
+            for ln in lines[2:4]
+        ]
+        sizes = [int(tok) for tok in clean[0]][:nblock]
+        cvec = np.array([float(t) for t in clean[1]])
+    except (IndexError, ValueError) as exc:
+        raise SolveError(f"malformed SDPA header: {exc}") from None
     if len(sizes) != nblock:
         raise SolveError(f"{len(sizes)} block sizes for {nblock} blocks")
-    cvec = np.array(
-        [float(t) for t in
-         lines[3].replace("{", " ").replace("}", " ").replace(",", " ").split()]
-    )
     if len(cvec) != mdim:
         raise SolveError(f"objective length {len(cvec)} != mDIM {mdim}")
 
@@ -1107,8 +1063,11 @@ def read_sdpa(path):
         toks = ln.split()
         if len(toks) != 5:
             raise SolveError(f"malformed entry line: {ln!r}")
-        mno, bno, i, j = (int(t) for t in toks[:4])
-        v = float(toks[4])
+        try:
+            mno, bno, i, j = (int(t) for t in toks[:4])
+            v = float(toks[4])
+        except ValueError:
+            raise SolveError(f"malformed entry line: {ln!r}") from None
         if not 0 <= mno <= mdim:
             raise SolveError(f"matrix number outside 0..{mdim}: {ln!r}")
         if not 1 <= bno <= nblock:
@@ -1215,6 +1174,4 @@ def import_sdpa_solution(path):
         dual=dv,
         gap=abs(pv - dv) / (1.0 + abs(pv) + abs(dv)),
         iterations=0,
-        block_sizes=(),
-        wall_time=0.0,
     )

@@ -59,7 +59,6 @@ class TestSolve:
             return SolveReport(
                 status="numerical_issue", primal=float("nan"),
                 dual=float("-inf"), gap=float("nan"), iterations=3,
-                block_sizes=sf.block_sizes(), wall_time=0.0,
             )
 
         def reject(name):
@@ -115,6 +114,18 @@ class TestSolve:
         f.write_text("vars x1\nratio: (x1^6)/(1)\nconstraint: 1 - x1^2 >= 0\n")
         assert main(["solve", str(f), "--order", "1"]) == EXIT_BUILD
         assert "build error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--orders", "3..2"],
+        ["--orders", "2-3"],
+        ["--orders", "x..3"],
+        ["--ratio-order", "1,x"],
+    ], ids=["empty-range", "dash", "non-integer", "ratio-order"])
+    def test_malformed_flags_are_build_errors(self, capsys, ball_mix_file,
+                                              flags):
+        assert main(["solve", ball_mix_file, *flags]) == EXIT_BUILD
+        err = capsys.readouterr().err
+        assert err.startswith("build error:") and flags[0] in err
 
     def test_sdpa_export(self, capsys, trivial_file, tmp_path):
         target = str(tmp_path / "out.dat-s")

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ratsos import relax
 from ratsos.corrsparse import build_cliques
@@ -350,7 +353,7 @@ class TestFlatness:
 
         fake = SolveReport(
             status="optimal", primal=0.0, dual=0.0, gap=0.0, iterations=0,
-            block_sizes=(), wall_time=0.0, y=y,
+            y=y,
         )
         assert flatness_certificate(rsdp, fake, 1e-6) is True
 
@@ -367,13 +370,13 @@ class TestExtract:
 
         rep = SolveReport(
             status="optimal", primal=1.0, dual=1.5, gap=0.0,
-            iterations=0, block_sizes=(), wall_time=0.0,
+            iterations=0,
         )
         # dual exceeding primal is clipped back
         assert reported_bound(rep) == 1.0
         rep2 = SolveReport(
             status="optimal", primal=1.0, dual=0.5, gap=0.0,
-            iterations=0, block_sizes=(), wall_time=0.0,
+            iterations=0,
         )
         assert reported_bound(rep2) == 0.5
         assert reported_bound(rep2, maximize=True) == -0.5
@@ -383,7 +386,25 @@ class TestPresolve:
     def test_dedupe_does_not_change_optimum(self):
         prob = gen_reznick_sparse_chain(2, 1)
         rsdp = build(prob, "cs", 3)
-        a = solve_internal(to_standard_form(rsdp, dedupe=True), tol=1e-9)
-        b = solve_internal(to_standard_form(rsdp, dedupe=False), tol=1e-9)
+        deduped = to_standard_form(rsdp)
+        # the reference keeps every row, scaled to unit max-abs coefficient
+        # as `to_standard_form` scales them
+        rows = [(cols, vals, b) for cols, vals, b in rsdp.eq_rows if len(vals)]
+        data, ri, ci, rhs = [], [], [], []
+        for r, (cols, vals, b) in enumerate(rows):
+            scale = max(abs(v) for v in vals)
+            ri += [r] * len(cols)
+            ci += list(cols)
+            data += [v / scale for v in vals]
+            rhs.append(b / scale)
+        full = dataclasses.replace(
+            deduped,
+            eq_mat=sp.csr_matrix(
+                (data, (ri, ci)), shape=(len(rows), rsdp.num_decision)
+            ),
+            eq_rhs=np.asarray(rhs, dtype=float),
+        )
+        a = solve_internal(deduped, tol=1e-9)
+        b = solve_internal(full, tol=1e-9)
         assert a.ok() and b.ok()
         assert abs(a.primal - b.primal) <= 1e-6

@@ -150,10 +150,11 @@ class TestInternalSolver:
         assert r1.iterations == r2.iterations
         assert np.array_equal(r1.y, r2.y)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         sf, _ = constructed_sdp(41)
+        monkeypatch.setenv("RATSOS_PSD_CAP", "2")
         with pytest.raises(ProblemTooLargeError, match="export"):
-            solve_internal(sf, psd_cap=2)
+            solve_internal(sf)
 
     def test_diag_block_solve(self):
         # min y1 + y2 s.t. y1 >= 1, y2 >= 2 as two 1x1 PSD blocks
@@ -346,7 +347,9 @@ class TestBlockAngularNewton:
 
     def test_schur_assembly_matches_gathered_products(self):
         # the per-block broadcast W F W against the earlier form, which
-        # gathered one copy of W per decision variable: bit for bit
+        # gathered one copy of W per decision variable: bit for bit; and
+        # against sum_b G_b' (W_b kron W_b) G_b from the LMI map G alone,
+        # which checks the F tensors that the assembly derives from G
         sf = to_standard_form(build(gen_reznick_chain(6, 2), "signsym", 6))
         groups, ba = schur_structure(sf)
         rng = seeded_rng(9)
@@ -369,6 +372,12 @@ class TestBlockAngularNewton:
                 idx = g.vars_list[b]
                 want[np.ix_(idx, idx)] += Mloc
             assert np.array_equal(got, want)
+            ss = g.s * g.s
+            ref = np.zeros((m, m))
+            for b in range(g.B):
+                Gb = g.G[b * ss:(b + 1) * ss].toarray()
+                ref += Gb.T @ np.kron(W[b], W[b]) @ Gb
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_one_component_gives_dense_iterates(self, monkeypatch):
         sf = to_standard_form(build(gen_overlap_chain(8, 1), "epigraph", 3))
@@ -422,6 +431,18 @@ class TestSdpaFormat:
         path = tmp_path / "bad.dat-s"
         path.write_text(f"2\n2\n2 -2\n1 1\n{entry}\n")
         with pytest.raises(SolveError, match="outside"):
+            read_sdpa(str(path))
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "2\n1\n2\n",  # no objective line
+        "2\n1\nx\n1 2\n",  # block size not an integer
+        "2\n2\n2 -2\n1 1\n1 1 1 1 zz\n",  # entry value not a number
+    ], ids=["empty", "short-header", "block-size", "entry-value"])
+    def test_read_rejects_malformed_files(self, tmp_path, text):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(text)
+        with pytest.raises(SolveError, match="malformed"):
             read_sdpa(str(path))
 
     def test_trivial_round_trip(self, tmp_path):
