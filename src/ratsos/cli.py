@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .corrsparse import build_cliques, ensure_ball_constraints
@@ -148,18 +147,12 @@ def cmd_solve(args):
         )
         return 0
 
-    def run(k):
-        return solve_relaxation(
+    results = [
+        solve_relaxation(
             prob, args.method, k, ratio_order=ratio_order, tol=args.tol
         )
-
-    if len(orders) == 1:
-        results = [run(orders[0])]
-    else:
-        # BLAS and LAPACK release the GIL, so the orders' solves overlap
-        workers = min(len(orders), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, orders))
+        for k in orders
+    ]
 
     payloads = [_result_payload(prob, res) for res in results]
     _emit(payloads[0] if len(payloads) == 1 else

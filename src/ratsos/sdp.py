@@ -20,6 +20,10 @@ desk-scale instances, larger ones go through the SDPA exporter.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import importlib
 import os
 import re
 from dataclasses import dataclass
@@ -432,11 +436,17 @@ def _cholesky(A, scale):
     """
     shift = 0.0
     while True:
+        shifted = A
+        if shift:
+            # one Fortran copy, shifted and factored in place
+            shifted = np.array(A, order="F")
+            shifted[np.diag_indices_from(shifted)] += shift
         with np.errstate(all="ignore"):
-            shifted = A + shift * np.eye(len(A)) if shift else A
-            cho, info = _potrf(shifted, lower=0, clean=0)
+            cho, info = _potrf(shifted, lower=0, clean=0, overwrite_a=bool(shift))
         if info == 0 and np.isfinite(np.diag(cho)).all():
             return cho, shift
+        # drop the failed factor before the next rung is allocated
+        cho = shifted = None
         shift = 1e-14 * scale if not shift else 100.0 * shift
         if shift > 1e-4 * scale:
             raise np.linalg.LinAlgError("Schur matrix not positive definite")
@@ -657,6 +667,58 @@ def _min_step_stack(lam, D):
     return float((-1.0 / emin[bad]).min())
 
 
+# The OpenBLAS builds numpy and scipy each carry, with a thread pool each:
+# a module linked against the library, and the suffix of its symbols.
+_OPENBLAS = {
+    "numpy": ("numpy._core._multiarray_umath", "64_"),
+    "scipy": ("scipy.linalg._fblas", ""),
+}
+
+
+@functools.cache
+def _blas_pools():
+    """{name: (get, set)} thread-count functions of each OpenBLAS found.
+
+    The symbols are looked up through the handle of a module that links
+    the library, so only libraries this process has loaded are touched.
+    A library or symbol that is missing (another BLAS, another platform)
+    is left out.
+    """
+    pools = {}
+    for name, (module, suffix) in _OPENBLAS.items():
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        pools[name] = (get, put)
+    return pools
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every OpenBLAS pool at one thread inside, the old counts restored after.
+
+    The solve makes many small BLAS and LAPACK calls, which lose to thread
+    start-up and to the hand-over between numpy's pool and scipy's; one
+    thread also makes the rounding independent of the core count.  The
+    counts are process-wide and unlocked: ratsos never solves concurrently.
+    """
+    pools = list(_blas_pools().values())
+    counts = [get() for get, _ in pools]
+    try:
+        for _, put in pools:
+            put(1)
+        yield
+    finally:
+        for (_, put), n in zip(pools, counts):
+            put(n)
+
+
+@_one_blas_thread()
 def solve_internal(sf, tol=1e-8, max_iter=200, verbose=False):
     """Solve the block SDP with the built-in interior-point method.
 
@@ -666,10 +728,15 @@ def solve_internal(sf, tol=1e-8, max_iter=200, verbose=False):
     eliminated exactly from the Newton system (`_BlockAngular`), and near
     the optimum that system is solved to extended accuracy
     (`_NewtonSystem`).  Deterministic: fixed
-    initialization and iteration rule, no randomness.  Raises
-    ProblemTooLargeError above the size cap (RATSOS_PSD_CAP overrides the
-    default of 3000).
+    initialization and iteration rule, no randomness, and BLAS at one
+    thread (`_one_blas_thread`).  Raises ProblemTooLargeError above the
+    size cap (RATSOS_PSD_CAP overrides the default of 3000), and
+    SolveError on a form with no decision variables.
     """
+    if not sf.num_vars:
+        raise SolveError(
+            "the form has no decision variables: its LMI holds constants only"
+        )
     psd_cap = int(os.environ.get("RATSOS_PSD_CAP", DEFAULT_PSD_CAP))
     total_dim = sf.total_psd_dim()
     if total_dim > psd_cap:
@@ -682,7 +749,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, verbose=False):
     # solve with a unit-scale objective; duals scale linearly, so the
     # reported values are simply multiplied back
     c_raw = sf.objective
-    c_gamma = max(1.0, float(np.abs(c_raw).max()) if m else 1.0)
+    c_gamma = max(1.0, float(np.abs(c_raw).max()))
     c = c_raw / c_gamma
     by_size = {}
     for blk in sf.blocks:
@@ -700,7 +767,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, verbose=False):
         [float(np.abs(g.C).max()) if g.C.size else 0.0 for g in groups]
         + [float(np.abs(d).max()) if nf else 0.0]
     )
-    obj_scale = 1.0 + float(np.abs(c).max()) if m else 1.0
+    obj_scale = 1.0 + float(np.abs(c).max())
 
     # infeasible start: identity-like matrices scaled to dominate the data
     eye = {g.s: np.eye(g.s) for g in groups}
@@ -753,7 +820,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200, verbose=False):
             [float(np.abs(r_e).max()) if nf else 0.0]
             + [float(np.abs(Rb).max()) if Rb.size else 0.0 for Rb in Rlmi.values()]
         ) / data_scale
-        dinf = (float(np.abs(r_d).max()) if m else 0.0) / obj_scale
+        dinf = float(np.abs(r_d).max()) / obj_scale
 
         err = max(relgap, pinf, dinf)
         if best is None or err < best[0]:

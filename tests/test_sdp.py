@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.blas import dsyr2k
 
+import ratsos
 from ratsos import sdp
+from ratsos.cli import main
 from ratsos.errors import ProblemTooLargeError, SolveError
 from ratsos.families import (
     gen_overlap_chain,
@@ -19,6 +27,7 @@ from ratsos.sdp import (
     SdpStandardForm,
     export_sdpa,
     import_sdpa_solution,
+    psd_block,
     read_sdpa,
     solve_internal,
     to_standard_form,
@@ -155,6 +164,19 @@ class TestInternalSolver:
         monkeypatch.setenv("RATSOS_PSD_CAP", "2")
         with pytest.raises(ProblemTooLargeError, match="export"):
             solve_internal(sf)
+
+    def test_no_decision_variables_is_a_solve_error(self, tmp_path):
+        # C = I as a form, and C = -I read from SDPA (F0 = I there)
+        sf = SdpStandardForm(
+            num_vars=0,
+            objective=np.zeros(0),
+            blocks=[psd_block("C", 2, [], [], [], [], [0, 1], [0, 1], [1.0, 1.0])],
+        )
+        path = tmp_path / "const.dat-s"
+        path.write_text("0\n1\n2\n{}\n0 1 1 1 1\n0 1 2 2 1\n")
+        for form in (sf, read_sdpa(str(path))):
+            with pytest.raises(SolveError, match="no decision variables"):
+                solve_internal(form)
 
     def test_diag_block_solve(self):
         # min y1 + y2 s.t. y1 >= 1, y2 >= 2 as two 1x1 PSD blocks
@@ -544,3 +566,83 @@ class TestSdpaFormat:
         out.write_text("nothing useful\n")
         with pytest.raises(SolveError):
             import_sdpa_solution(str(out))
+
+
+def pool_counts():
+    return {name: get() for name, (get, _) in sdp._blas_pools().items()}
+
+
+class TestBlasThreads:
+    """solve_internal runs with every OpenBLAS pool at one thread."""
+
+    @pytest.fixture
+    def two_threads(self):
+        """Each pool at two threads, so that a missed restore shows."""
+        pools = sdp._blas_pools()
+        if not pools:
+            pytest.skip("no OpenBLAS thread setter in this process")
+        before = pool_counts()
+        for _, put in pools.values():
+            put(2)
+        yield {name: 2 for name in pools}
+        for name, (_, put) in pools.items():
+            put(before[name])
+
+    def test_one_thread_inside_the_loop(self, two_threads, monkeypatch):
+        seen = []
+
+        class Probe(sdp._BlockAngularFactor):
+            def __init__(self, ba, buf):
+                seen.append(pool_counts())
+                super().__init__(ba, buf)
+
+        monkeypatch.setattr(sdp, "_BlockAngularFactor", Probe)
+        assert solve_internal(trivial_sdp()).status == "optimal"
+        assert seen and all(c == dict.fromkeys(two_threads, 1) for c in seen)
+        assert pool_counts() == two_threads
+
+    def test_counts_restored_after_a_raise(self, two_threads, monkeypatch):
+        def broken(ba, buf):
+            raise RuntimeError("factor broke")
+
+        monkeypatch.setattr(sdp, "_BlockAngularFactor", broken)
+        with pytest.raises(RuntimeError, match="factor broke"):
+            solve_internal(trivial_sdp())
+        assert pool_counts() == two_threads
+
+    def test_counts_restored_after_an_order_sweep(self, two_threads, tmp_path,
+                                                  capsys):
+        path = tmp_path / "trivial.srfo"
+        path.write_text("vars x1\nratio: (x1^2)/(1)\nconstraint: 1 - x1^2 >= 0\n")
+        assert main(["solve", str(path), "--orders", "2..3"]) == 0
+        capsys.readouterr()
+        assert pool_counts() == two_threads
+
+    @pytest.mark.parametrize("module", [np, scipy], ids=["numpy", "scipy"])
+    def test_openblas_setter_found(self, module):
+        # a wheel that renames the symbols must fail here, not run threaded
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "scipy-openblas" not in blas.get("name", ""):
+            pytest.skip(f"{module.__name__} is not built on scipy-openblas")
+        assert module.__name__ in sdp._blas_pools()
+
+    def test_thread_count_does_not_change_y(self):
+        # the smallest bench row whose y depended on the thread count
+        script = (
+            "import hashlib\n"
+            "from ratsos.families import gen_overlap_chain\n"
+            "from ratsos.relax import solve_relaxation\n"
+            "res = solve_relaxation(gen_overlap_chain(8, 1), 'cs-signsym', 3)\n"
+            "print(hashlib.sha256(res.report.y.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(ratsos.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=n, PYTHONPATH=path),
+                capture_output=True, text=True, check=True, timeout=600,
+            ).stdout
+            for n in ("2", "1")
+        ]
+        assert digests[0] == digests[1] != ""
