@@ -22,10 +22,6 @@ Monomial = tuple  # exponent tuple, one entry per variable
 MAX_EXPONENT = 65535
 
 
-def mono_degree(mono):
-    return sum(mono)
-
-
 def mono_mul(a, b):
     return tuple(map(add, a, b))
 
@@ -142,9 +138,6 @@ class Polynomial:
         if isinstance(other, (int, float)):
             other = Polynomial.constant(self.nvars, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):

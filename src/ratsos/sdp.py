@@ -109,52 +109,27 @@ class SolveReport:
         return self.status in ("optimal", "near_optimal")
 
 
-def _dedupe_rows(rows_cols_vals):
-    """Drop exact duplicate equality rows (same normalized content)."""
-    seen = {}
-    keep = []
-    for i, (cols, vals, b) in enumerate(rows_cols_vals):
-        if len(vals) == 0:
-            continue
-        lead = vals[0]
-        key = (
-            tuple(cols),
-            tuple(v / lead for v in vals),
-            b / lead,
-        )
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    return keep
-
-
 def to_standard_form(rsdp):
     """Repack a relaxation into solver form.
 
-    The blocks are kept as built, 1x1 blocks included; equality rows are
-    packed into one sparse matrix, exact duplicates dropped.  The
-    relaxation object is retained so moment values can be read back per
-    monomial.
+    The blocks are kept as built, 1x1 blocks included; the equality rows
+    are packed into one sparse matrix, each scaled to a unit max-abs
+    coefficient.  Dependent rows stay: the solver gives them a zero
+    multiplier.  The relaxation object is retained so moment values can
+    be read back per monomial.
     """
     eq_mat = None
     eq_rhs = None
     if rsdp.eq_rows:
-        triples = [
-            (list(cols), list(vals), float(b)) for cols, vals, b in rsdp.eq_rows
-        ]
-        keep = _dedupe_rows(triples)
         data, ri, ci, rb = [], [], [], []
-        for new_r, old_r in enumerate(keep):
-            cols, vals, b = triples[old_r]
-            # row equilibration: unit max-abs coefficient per equality
+        for r, (cols, vals, b) in enumerate(rsdp.eq_rows):
             scale = max(abs(v) for v in vals)
-            for ccol, v in zip(cols, vals):
-                ri.append(new_r)
-                ci.append(ccol)
-                data.append(v / scale)
+            ri += [r] * len(cols)
+            ci += cols
+            data += [v / scale for v in vals]
             rb.append(b / scale)
         eq_mat = sp.csr_matrix(
-            (data, (ri, ci)), shape=(len(keep), rsdp.num_decision)
+            (data, (ri, ci)), shape=(len(rsdp.eq_rows), rsdp.num_decision)
         )
         eq_rhs = np.asarray(rb, dtype=float)
 
@@ -172,50 +147,78 @@ def to_standard_form(rsdp):
 # interior-point solver
 
 
+def _entries(blocks, fields):
+    """(block index, field arrays...) of all blocks' entries, concatenated."""
+    counts = [len(getattr(blk, fields[0])) for blk in blocks]
+    return (np.repeat(np.arange(len(blocks)), counts),
+            *(np.concatenate([getattr(blk, f) for blk in blocks]) for f in fields))
+
+
+def _mirrored(r, c, *fields):
+    """Entries (r, c, fields...) and the mirror (c, r) of every off-diagonal one."""
+    off = r != c
+    return (np.concatenate((r, c[off])), np.concatenate((c, r[off])),
+            *(np.concatenate((f, f[off])) for f in fields))
+
+
+def _block_csr(rows, cols, vals, row_off, col_off):
+    """Each diagonal block k of a block-diagonal matrix, rows row_off[k]:
+    row_off[k+1] and columns col_off[k]:col_off[k+1], as CSR; repeated
+    entries stay apart and add up in products."""
+    order = np.argsort(rows, kind="stable")
+    cols, vals = cols[order], vals[order]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=row_off[-1]))))
+    return [
+        sp.csr_matrix((vals[ptr[r0]:ptr[r1]], cols[ptr[r0]:ptr[r1]] - c0,
+                       ptr[r0:r1 + 1] - ptr[r0]), shape=(r1 - r0, c1 - c0))
+        for r0, r1, c0, c1 in zip(row_off, row_off[1:], col_off, col_off[1:])
+    ]
+
+
 class _SizeGroup:
     """All PSD blocks of one size, stacked for batched linear algebra.
 
     G is the vectorized LMI map: entry (b*s*s + i*s + j, l) is F_{b,l}[i, j].
-    The per-block F tensors of the Schur assembly are slices of G' (Fcat
-    densified); everything else (residuals, scalings, step lengths) runs
-    on (B, s, s) stacks, so many small blocks cost barely more than one
-    large one.  Products with G take the dtype of their operand.
+    Residuals, scalings and step lengths run on (B, s, s) stacks, so many
+    small blocks cost barely more than one large one.  Products with G
+    take the dtype of their operand.
+
+    The Schur assembly keeps F sparse.  Number the variables of block b
+    (`vars_list[b]`) l = 0..n-1.  FW[b] has entry (i*n + l, k) equal to
+    F_l[i, k], so that FW[b] @ W stacks every F_l W.  The triangle gather
+    Fh[b] has entry (l, e) equal to F_l at the block's e-th stored
+    position tri[b] (i <= j), doubled off the diagonal, so that
+    Fh[b] @ T[i_e, :, j_e] is <F_l', T_l> for symmetric T_l.
     """
 
     def __init__(self, size, blocks, m):
-        self.s = size
-        self.B = len(blocks)
-        self.vars_list = [np.unique(blk.varids) for blk in blocks]
-        C = np.zeros((self.B, size, size))
-        g_rows, g_cols, g_vals = [], [], []
-        ss = size * size
-        for b, blk in enumerate(blocks):
-            for r, cc, v, a in zip(blk.rows, blk.cols, blk.varids, blk.coefs):
-                g_rows.append(b * ss + r * size + cc)
-                g_cols.append(v)
-                g_vals.append(a)
-                if r != cc:
-                    g_rows.append(b * ss + cc * size + r)
-                    g_cols.append(v)
-                    g_vals.append(a)
-            for r, cc, a in zip(blk.const_rows, blk.const_cols, blk.const_vals):
-                C[b, r, cc] += a
-                if r != cc:
-                    C[b, cc, r] += a
-        self.C = C
-        self.G = sp.csr_matrix(
-            (g_vals, (g_rows, g_cols)), shape=(self.B * ss, m)
-        )
+        s = self.s = size
+        B = self.B = len(blocks)
+        ss = s * s
+        bc, rc, cc, ac = _entries(blocks, ("const_rows", "const_cols", "const_vals"))
+        rc, cc, bc, ac = _mirrored(rc, cc, bc, ac)
+        self.C = np.bincount((bc * s + rc) * s + cc, ac, B * ss).reshape(B, s, s)
+
+        b, r, c, v, a = _entries(blocks, ("rows", "cols", "varids", "coefs"))
+        # the variables of each block, and each entry's local number l
+        uniq, local = np.unique(b * m + v, return_inverse=True)
+        n = np.bincount(uniq // m, minlength=B)
+        n_off = np.concatenate(([0], np.cumsum(n)))
+        self.vars_list = np.split(uniq % m, n_off[1:-1])
+        local -= n_off[b]
+        fi, fk, fb, fv, fl, fa = _mirrored(r, c, b, v, local, a)
+        self.G = sp.csr_matrix((fa, (fb * ss + fi * s + fk, fv)), shape=(B * ss, m))
         self.GT = self.G.T.tocsr()
-        self.Fm_list = [
-            self.GT[vs][:, b * ss:(b + 1) * ss]
-            for b, vs in enumerate(self.vars_list)
-        ]
-        counts = [len(v) for v in self.vars_list]
-        self.row_splits = np.cumsum([0] + counts)
-        self.Fcat = np.concatenate(
-            [F.toarray() for F in self.Fm_list]
-        ).reshape(-1, size, size)
+        self.FW = _block_csr(s * n_off[fb] + fi * n[fb] + fl, fb * s + fk, fa,
+                             s * n_off, s * np.arange(B + 1))
+        pos, col = np.unique((b * s + r) * s + c, return_inverse=True)
+        p_off = np.searchsorted(pos // ss, np.arange(B + 1))
+        self.Fh = _block_csr(n_off[b] + local, col, np.where(r == c, 1.0, 2.0) * a,
+                             n_off, p_off)
+        self.tri = [(pos[p0:p1] // s % s, pos[p0:p1] % s)
+                    for p0, p1 in zip(p_off, p_off[1:])]
+        # T of the largest block, reused by every block and iteration
+        self.work = np.empty(s * s * n.max())
 
     def lmi_step(self, dy):
         return (self.G @ dy).reshape(self.B, self.s, self.s)
@@ -230,16 +233,19 @@ class _SizeGroup:
     def add_schur(self, W, buf, place):
         """Add each block's <F_i, W F_j W> into its component's matrix.
 
-        `place[b]` holds the flat positions in `buf` of the block's
-        variable pairs (`_BlockAngular.place`).
+        Per block, FW @ W_b forms every F_l W_b in nnz*s flops, one GEMM
+        with W_b turns them into T[k, l, j] = (W_b F_l W_b)[k, j], and Fh
+        gathers the inner products from T's stored positions.  `place[b]`
+        holds the flat positions in `buf` of the block's variable pairs
+        (`_BlockAngular.place`).
         """
-        ss = self.s * self.s
-        for b, pos in enumerate(place):
+        s = self.s
+        for Wb, FW, Fh, (i, j), pos in zip(W, self.FW, self.Fh, self.tri, place):
             if pos is None:
                 continue
-            lo, hi = self.row_splits[b], self.row_splits[b + 1]
-            T = np.matmul(W[b], np.matmul(self.Fcat[lo:hi], W[b]))
-            buf[pos] += self.Fm_list[b] @ T.reshape(hi - lo, ss).T
+            T = self.work[:FW.shape[0] * s].reshape(s, -1)
+            np.matmul(Wb, (FW @ Wb).reshape(s, -1), out=T)
+            buf[pos] += Fh @ T.reshape(s, -1, s)[i, :, j]
 
 
 class _BlockAngular:

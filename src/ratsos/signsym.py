@@ -63,9 +63,6 @@ class SignSymmetryGroup:
     def rank(self):
         return len(self.basis)
 
-    def is_trivial(self):
-        return not self.basis
-
     def contains(self, mask):
         """Membership of a bit vector in the row space."""
         r = mask

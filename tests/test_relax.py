@@ -383,28 +383,19 @@ class TestExtract:
 
 
 class TestPresolve:
-    def test_dedupe_does_not_change_optimum(self):
-        prob = gen_reznick_sparse_chain(2, 1)
-        rsdp = build(prob, "cs", 3)
-        deduped = to_standard_form(rsdp)
-        # the reference keeps every row, scaled to unit max-abs coefficient
-        # as `to_standard_form` scales them
-        rows = [(cols, vals, b) for cols, vals, b in rsdp.eq_rows if len(vals)]
-        data, ri, ci, rhs = [], [], [], []
-        for r, (cols, vals, b) in enumerate(rows):
-            scale = max(abs(v) for v in vals)
-            ri += [r] * len(cols)
-            ci += list(cols)
-            data += [v / scale for v in vals]
-            rhs.append(b / scale)
-        full = dataclasses.replace(
-            deduped,
-            eq_mat=sp.csr_matrix(
-                (data, (ri, ci)), shape=(len(rows), rsdp.num_decision)
-            ),
-            eq_rhs=np.asarray(rhs, dtype=float),
+    def test_dependent_rows_do_not_change_optimum(self):
+        # an exact copy and a scaled copy of one equality row make E rank
+        # deficient; the solver gives the dependent rows zero multipliers
+        sf = to_standard_form(build(gen_reznick_sparse_chain(2, 1), "cs", 3))
+        E, d = sf.eq_mat, sf.eq_rhs
+        r = E.shape[0] - 1
+        more = dataclasses.replace(
+            sf,
+            eq_mat=sp.vstack([E, E[r], -2.5 * E[r]]).tocsr(),
+            eq_rhs=np.r_[d, d[r], -2.5 * d[r]],
         )
-        a = solve_internal(deduped, tol=1e-9)
-        b = solve_internal(full, tol=1e-9)
-        assert a.ok() and b.ok()
+        a = solve_internal(sf, tol=1e-9)
+        b = solve_internal(more, tol=1e-9)
+        assert more.num_eq == sf.num_eq + 2
+        assert a.status == b.status == "optimal", (a.status, b.status)
         assert abs(a.primal - b.primal) <= 1e-6

@@ -261,6 +261,38 @@ def first_iterate_schur(sf):
     return ba, buf, dense
 
 
+def random_scaling(rng, g):
+    """A random symmetric positive definite W_b per block of group g."""
+    A = rng.normal(size=(g.B, g.s, g.s))
+    return A @ np.transpose(A, (0, 2, 1)) + np.eye(g.s)
+
+
+def assembled_schur(g, W, ba, place):
+    """Group g's part of the Schur matrix from `add_schur`, as one m x m matrix."""
+    buf = np.zeros(ba.offsets[-1])
+    g.add_schur(W, buf, place)
+    got = np.zeros((ba.m, ba.m))
+    for vs, Mk in zip(ba.vars, ba.views(buf)):
+        got[np.ix_(vs, vs)] = Mk
+    return got
+
+
+def schur_reference(g, W):
+    """sum_b G_b' (W_b kron W_b) G_b over the blocks of group g, dense.
+
+    G_b is restricted to the columns it has entries in, which changes
+    nothing but the cost.
+    """
+    ss = g.s * g.s
+    ref = np.zeros((g.G.shape[1],) * 2)
+    for b in range(g.B):
+        Gb = g.G[b * ss:(b + 1) * ss]
+        cols = np.unique(Gb.indices)
+        Gb = Gb[:, cols].toarray()
+        ref[np.ix_(cols, cols)] += Gb.T @ np.kron(W[b], W[b]) @ Gb
+    return ref
+
+
 def dense_reference_factor(E):
     """The dense Schur factorization the block-angular one replaced.
 
@@ -368,38 +400,41 @@ class TestBlockAngularNewton:
         assert abs(reported_bound(rep) + 6.0) <= 1e-6, facts
 
     def test_schur_assembly_matches_gathered_products(self):
-        # the per-block broadcast W F W against the earlier form, which
-        # gathered one copy of W per decision variable: bit for bit; and
-        # against sum_b G_b' (W_b kron W_b) G_b from the LMI map G alone,
-        # which checks the F tensors that the assembly derives from G
-        sf = to_standard_form(build(gen_reznick_chain(6, 2), "signsym", 6))
-        groups, ba = schur_structure(sf)
+        # each group's component matrices against sum_b G_b' (W_b kron W_b) G_b
+        # from the LMI map G alone, which checks the sparse F maps that the
+        # assembly derives from the same entries
+        cases = [
+            (gen_reznick_chain(6, 2), "signsym", 6),
+            # localizing blocks with multi-term entries
+            (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3),
+            # 1x1 blocks and nine size groups
+            (gen_unit_ball_mix(), "signsym", 3),
+            # blocks of 49
+            (gen_reznick_sparse_chain(3, 2), "cs", 6),
+        ]
         rng = seeded_rng(9)
-        m = sf.num_vars
-        for g, place in zip(groups, ba.place):
-            A = rng.normal(size=(g.B, g.s, g.s))
-            W = A @ np.transpose(A, (0, 2, 1)) + np.eye(g.s)
-            buf = np.zeros(ba.offsets[-1])
-            g.add_schur(W, buf, place)
-            got = np.zeros((m, m))
-            for vs, Mk in zip(ba.vars, ba.views(buf)):
-                got[np.ix_(vs, vs)] = Mk
-            counts = np.diff(g.row_splits)
-            Wrows = W[np.repeat(np.arange(g.B), counts)]
-            T = np.matmul(Wrows, np.matmul(g.Fcat, Wrows))
-            want = np.zeros((m, m))
-            for b in range(g.B):
-                lo, hi = g.row_splits[b], g.row_splits[b + 1]
-                Mloc = g.Fm_list[b] @ T[lo:hi].reshape(hi - lo, g.s * g.s).T
-                idx = g.vars_list[b]
-                want[np.ix_(idx, idx)] += Mloc
-            assert np.array_equal(got, want)
-            ss = g.s * g.s
-            ref = np.zeros((m, m))
-            for b in range(g.B):
-                Gb = g.G[b * ss:(b + 1) * ss].toarray()
-                ref += Gb.T @ np.kron(W[b], W[b]) @ Gb
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        for prob, method, k in cases:
+            sf = to_standard_form(build(prob, method, k))
+            groups, ba = schur_structure(sf)
+            for g, place in zip(groups, ba.place):
+                W = random_scaling(rng, g)
+                got = assembled_schur(g, W, ba, place)
+                ref = schur_reference(g, W)
+                err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+                assert err <= 1e-12, (prob.name, method, k, g.s, err)
+
+    def test_schur_assembly_benchmark(self, benchmark):
+        # times add_schur on one group of three 49x49 blocks
+        # (`pytest --benchmark-only -k schur`); asserts nothing about time
+        sf = to_standard_form(build(gen_reznick_sparse_chain(3, 2), "cs", 6))
+        (g,), ba = schur_structure(sf)
+        W = random_scaling(seeded_rng(9), g)
+        got = benchmark.pedantic(
+            assembled_schur, args=(g, W, ba, ba.place[0]), rounds=3
+        )
+        ref = schur_reference(g, W)
+        assert g.s == 49
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_one_component_gives_dense_iterates(self, monkeypatch):
         sf = to_standard_form(build(gen_overlap_chain(8, 1), "epigraph", 3))
