@@ -74,16 +74,28 @@ def psd_block(label, size, rows, cols, vids, coefs,
 
 @dataclass
 class SdpStandardForm:
+    """min c'y s.t. E y = d and every block's LMI PSD, in solver form.
+
+    E is always a CSR matrix and d an array: a form with no equality rows
+    has an E of 0 rows and d = zeros(0), which `__post_init__` fills in when
+    they are left out.
+    """
+
     num_vars: int
     objective: np.ndarray
     blocks: list
-    eq_mat: sp.csr_matrix | None = None
-    eq_rhs: np.ndarray | None = None
+    eq_mat: sp.csr_matrix = None
+    eq_rhs: np.ndarray = None
     origin: object = None
+
+    def __post_init__(self):
+        if self.eq_mat is None:
+            self.eq_mat, self.eq_rhs = sp.csr_matrix((0, self.num_vars)), np.zeros(0)
+        self.eq_mat = sp.csr_matrix(self.eq_mat)
 
     @property
     def num_eq(self):
-        return 0 if self.eq_mat is None else self.eq_mat.shape[0]
+        return self.eq_mat.shape[0]
 
     def total_psd_dim(self):
         return sum(b.size for b in self.blocks)
@@ -118,27 +130,21 @@ def to_standard_form(rsdp):
     multiplier.  The relaxation object is retained so moment values can
     be read back per monomial.
     """
-    eq_mat = None
-    eq_rhs = None
-    if rsdp.eq_rows:
-        data, ri, ci, rb = [], [], [], []
-        for r, (cols, vals, b) in enumerate(rsdp.eq_rows):
-            scale = max(abs(v) for v in vals)
-            ri += [r] * len(cols)
-            ci += cols
-            data += [v / scale for v in vals]
-            rb.append(b / scale)
-        eq_mat = sp.csr_matrix(
-            (data, (ri, ci)), shape=(len(rsdp.eq_rows), rsdp.num_decision)
-        )
-        eq_rhs = np.asarray(rb, dtype=float)
-
+    data, ri, ci, rb = [], [], [], []
+    for r, (cols, vals, b) in enumerate(rsdp.eq_rows):
+        scale = max(abs(v) for v in vals)
+        ri += [r] * len(cols)
+        ci += cols
+        data += [v / scale for v in vals]
+        rb.append(b / scale)
     return SdpStandardForm(
         num_vars=rsdp.num_decision,
         objective=np.asarray(rsdp.objective, dtype=float).copy(),
         blocks=list(rsdp.blocks),
-        eq_mat=eq_mat,
-        eq_rhs=eq_rhs,
+        eq_mat=sp.csr_matrix(
+            (data, (ri, ci)), shape=(len(rsdp.eq_rows), rsdp.num_decision)
+        ),
+        eq_rhs=np.asarray(rb, dtype=float),
         origin=rsdp,
     )
 
@@ -274,25 +280,21 @@ class _BlockAngular:
     """
 
     def __init__(self, m, groups, E):
+        """E: the equality rows as CSR, 0 rows when there are none."""
         self.m = m
-        self.nf = 0 if E is None else E.shape[0]
-        if self.nf:
-            E = sp.csr_matrix(E)
+        self.nf = E.shape[0]
         # union by relabelling: each label is the smallest variable of its set
         lab = np.arange(m)
         for vs in (vs for g in groups for vs in g.vars_list):
             roots = np.unique(lab[vs])
             if len(roots) > 1:
                 lab[np.isin(lab, roots)] = roots[0]
-        home = np.zeros(self.nf, dtype=np.int64)
-        linking = np.zeros(self.nf, dtype=bool)
-        if self.nf:
-            entry_row = np.repeat(np.arange(self.nf), np.diff(E.indptr))
-            lo = np.full(self.nf, m)
-            hi = np.full(self.nf, -1)
-            np.minimum.at(lo, entry_row, lab[E.indices])
-            np.maximum.at(hi, entry_row, lab[E.indices])
-            home, linking = np.minimum(lo, m - 1), lo != hi
+        entry_row = np.repeat(np.arange(self.nf), np.diff(E.indptr))
+        lo = np.full(self.nf, m)
+        hi = np.full(self.nf, -1)
+        np.minimum.at(lo, entry_row, lab[E.indices])
+        np.maximum.at(hi, entry_row, lab[E.indices])
+        home, linking = np.minimum(lo, m - 1), lo != hi
         labels = np.unique(lab)
         if linking.sum() >= len(labels):
             lab[:] = home[:] = 0
@@ -331,7 +333,7 @@ class _BlockAngular:
         ]
 
         # intra rows, per component
-        Et = E.T.toarray() if self.nf else None
+        Et = E.T.toarray()
         home_comp = comp_of[home]
         Q, r_blocks, piv = [], [], []
         for k, vs in enumerate(self.vars):
@@ -438,7 +440,7 @@ def _cholesky(A, scale):
     The shift is zero unless rounding makes A numerically indefinite (late
     iterations, where M spans more than 1/eps); it is then the smallest
     rung that lets Cholesky through, and the factor is only a
-    preconditioner for the Krylov solve in `_NewtonSystem`.
+    preconditioner for the Krylov solve in `_Scaling.solve`.
     """
     shift = 0.0
     while True:
@@ -549,94 +551,11 @@ class _BlockAngularFactor:
         dy += self.precond(self.project(rhs1 - self.matvec(dy)))
         v = self.matvec(dy) - rhs1
         # Cholesky on null(E_intra) is backward stable, so the rounding
-        # bound of `_NewtonSystem` covers it; the linking-row correction is
+        # bound of `_Scaling.solve` covers it; the linking-row correction is
         # not (z and Y c can both be far larger than dy), so its residual
         # is measured
         res = float(np.linalg.norm(self.project(v))) if self.ba.r_L else 0.0
         return dy, self.multipliers(v), res
-
-
-class _NewtonSystem:
-    """The Newton equations of one iteration, solved to extended accuracy.
-
-    M dy - E' dnu = rhs1 and E dy = r_e, with M v = A*(W A(v) W) applied
-    matrix-free in extended precision.  Near the optimum M spans far more
-    than 1/eps, and the dual residual of a direction is the residual of
-    this system, of size eps |M| |dy| when M is formed and solved in double
-    precision.  Without strict complementarity |dy| shrinks only like
-    sqrt(mu), so that error grows as mu falls and caps the reachable gap.
-    Taking the residual in extended precision and reducing it by a Krylov
-    method preconditioned with the double factorization removes it.
-    """
-
-    MAX_KRYLOV = 25
-
-    def __init__(self, factor, groups, W):
-        self.factor = factor
-        self.groups = groups
-        self.W = W
-
-    def apply(self, v):
-        """M v for a longdouble v; the double G and W widen exactly."""
-        out = np.zeros(len(v), dtype=_XP)
-        for g, W in zip(self.groups, self.W):
-            V = g.lmi_step(v)
-            out += g.adjoint(W @ V @ W)
-        return out
-
-    def solve(self, rhs1, r_e, target, floor):
-        """(dy, dnu) leaving a residual of about `target` at most.
-
-        dy is longdouble exactly when the solve was refined, so that what
-        is computed from it stays in extended precision.  The
-        double-precision solve is kept when its rounding error bound
-        eps |M| |dy|_1 already meets the target (every early iteration).
-        Otherwise its residual is taken in extended precision and reduced
-        by right-preconditioned GMRES on null(E): GMRES minimizes the
-        residual, which is what the step needs, and the double factor
-        leaves only the few directions blurred by its shift for the Krylov
-        space to resolve.  GMRES also stops once the residual is down to
-        `floor`: the dual residual can hold a part that no direction
-        removes, and GMRES stalls at about its size, however far below
-        that the target lies.
-        """
-        dy, dnu, res = self.factor.solve(rhs1, r_e)
-        bound = 4.0 * np.finfo(float).eps * self.factor.diag_max * float(
-            np.abs(dy).sum()
-        )
-        if self.factor.shift == 0.0 and max(bound, res) <= target:
-            return dy, dnu
-        project = self.factor.project
-        rhs1 = rhs1.astype(_XP)
-        dy = dy.astype(_XP)
-        Mdy = self.apply(dy)
-        res = project(rhs1 - Mdy)
-        beta = float(np.sqrt(res @ res))
-        V, Z, MZ = [res / beta] if beta > 0.0 else [], [], []
-        H = np.zeros((self.MAX_KRYLOV + 1, self.MAX_KRYLOV))
-        coef = np.zeros(0)
-        for j in range(self.MAX_KRYLOV if beta > target else 0):
-            Z.append(self.factor.precond(V[j].astype(float)).astype(_XP))
-            MZ.append(self.apply(Z[j]))
-            w = project(MZ[j])
-            for _ in range(2):
-                for i in range(j + 1):
-                    h = float(w @ V[i])
-                    H[i, j] += h
-                    w -= h * V[i]
-            H[j + 1, j] = float(np.sqrt(w @ w))
-            e1 = np.zeros(j + 2)
-            e1[0] = beta
-            coef = np.linalg.lstsq(H[: j + 2, : j + 1], e1, rcond=None)[0]
-            size = float(np.linalg.norm(e1 - H[: j + 2, : j + 1] @ coef))
-            if size <= max(target, floor) or H[j + 1, j] <= 1e-30 * beta:
-                break
-            V.append(w / H[j + 1, j])
-        for cf, zv, mzv in zip(coef, Z, MZ):
-            dy += _XP(cf) * zv
-            Mdy += _XP(cf) * mzv
-
-        return dy, self.factor.multipliers(Mdy - rhs1)
 
 
 def _group_order(by_size):
@@ -665,12 +584,283 @@ def _min_step_stack(lam, D):
     """Largest alpha keeping diag(lam_b) + alpha * D_b PSD for all b."""
     root = np.sqrt(lam)
     scaled = D / root[:, :, None] / root[:, None, :]
-    sym = 0.5 * (scaled + np.transpose(scaled, (0, 2, 1)))
-    emin = np.linalg.eigvalsh(sym)[:, 0]
+    emin = np.linalg.eigvalsh(_sym(scaled))[:, 0]
     bad = emin < -1e-14
     if not bad.any():
         return np.inf
     return float((-1.0 / emin[bad]).min())
+
+
+def _sym(Z):
+    return 0.5 * (Z + np.transpose(Z, (0, 2, 1)))
+
+
+class _Form:
+    """What the loop needs of one SdpStandardForm, set up once per solve.
+
+    The size groups in `_group_order`, the objective c at unit scale (duals
+    scale linearly, so the values are multiplied back by c_gamma), E, E'
+    and d, the scales of the residuals and the block-angular structure of
+    the Newton system.
+    """
+
+    def __init__(self, sf):
+        self.m = m = sf.num_vars
+        self.dim = sf.total_psd_dim()
+        self.c_gamma = max(1.0, float(np.abs(sf.objective).max()))
+        self.c = sf.objective / self.c_gamma
+        by_size = {}
+        for blk in sf.blocks:
+            by_size.setdefault(blk.size, []).append(blk)
+        self.groups = [
+            _SizeGroup(size, by_size[size], m) for size in _group_order(by_size)
+        ]
+        self.E, self.ET, self.d = sf.eq_mat, sf.eq_mat.T.tocsr(), sf.eq_rhs
+        self.data_scale = 1.0 + max(
+            [float(np.abs(g.C).max()) for g in self.groups]
+            + [float(np.abs(self.d).max(initial=0.0))]
+        )
+        self.obj_scale = 1.0 + float(np.abs(self.c).max())
+        self.ba = _BlockAngular(m, self.groups, self.E)
+
+    def start(self):
+        """The infeasible start: identity-like X and S that dominate the data."""
+        X, S = [], []
+        for g in self.groups:
+            eta = np.maximum(10.0, 1.5 * np.sqrt((g.C ** 2).sum(axis=(1, 2))))
+            eye = np.eye(g.s)
+            S.append(eta[:, None, None] * eye)
+            X.append(max(10.0, self.obj_scale) * np.tile(eye, (g.B, 1, 1)))
+        return _Iterate(self, np.zeros(self.m), np.zeros(len(self.d)), X, S)
+
+
+class _Iterate:
+    """One point (y, nu, X, S) of the loop, with its residuals and values.
+
+    X and S hold one (B, s, s) stack per size group.  Rlmi = S(y) - S,
+    r_e = d - E y and r_d = c - A*X - E'nu are the residuals; pobj = c'y,
+    and dobj is the Lagrangian d'nu - <X, C> + r_d'y, which charges the
+    dual residual at y, so that a residual no step removes shows in the gap
+    instead of hiding.  err, the largest of the scaled relgap, pinf and
+    dinf, ranks the iterates.
+    """
+
+    def __init__(self, form, y, nu, X, S):
+        self.form, self.y, self.nu, self.X, self.S = form, y, nu, X, S
+        groups = form.groups
+        self.Rlmi = [g.lmi(y) - Sg for g, Sg in zip(groups, S)]
+        self.r_e = form.d - form.E @ y
+        Ax = np.zeros(form.m)
+        for g, Xg in zip(groups, X):
+            Ax += g.adjoint(Xg)
+        self.r_d = form.c - Ax - form.ET @ nu
+        self.mu = sum(
+            float(np.einsum("bij,bij->", Xg, Sg)) for Xg, Sg in zip(X, S)
+        ) / form.dim
+        self.pobj = form.c_gamma * float(form.c @ y)
+        self.dobj = form.c_gamma * float(
+            nu @ form.d
+            - sum(float(np.einsum("bij,bij->", Xg, g.C)) for g, Xg in zip(groups, X))
+            + float(self.r_d @ y)
+        )
+        self.relgap = abs(self.pobj - self.dobj) / (
+            1.0 + abs(self.pobj) + abs(self.dobj)
+        )
+        self.pinf = max(
+            [float(np.abs(self.r_e).max(initial=0.0))]
+            + [float(np.abs(R).max()) for R in self.Rlmi]
+        ) / form.data_scale
+        self.dinf = float(np.abs(self.r_d).max()) / form.obj_scale
+        self.err = max(self.relgap, self.pinf, self.dinf)
+
+    def step(self, ap, ad, direction):
+        """The iterate reached by a primal step ap and a dual step ad."""
+        dy, dnu, dS, dX = direction[:4]
+        return _Iterate(
+            self.form, self.y + ap * dy, self.nu + ad * dnu,
+            [_sym(X + ad * dXg) for X, dXg in zip(self.X, dX)],
+            [_sym(S + ap * dSg) for S, dSg in zip(self.S, dS)],
+        )
+
+
+class _Scaling:
+    """The NT scaling at one iterate, and the Newton system it defines.
+
+    Per size group R R' = W with W S W = X, and lam is the scaled spectrum
+    (`_nt_factor_stack`).  The Schur matrix, M v = A*(W A(v) W), is
+    assembled and factored in double precision once per iteration
+    (`_BlockAngularFactor`); Mehrotra's predictor and corrector are two
+    solves with it.  The loop keeps no scaling from one iteration to the
+    next, so the last Schur matrix and factor are freed before the next
+    are built.
+
+    Near the optimum M spans far more than 1/eps, and the dual residual of
+    a direction is the residual of the Newton equations, of size
+    eps |M| |dy| when M is formed and solved in double precision.  Without
+    strict complementarity |dy| shrinks only like sqrt(mu), so that error
+    grows as mu falls and caps the reachable gap.  Taking the residual in
+    extended precision and reducing it by a Krylov method preconditioned
+    with the double factorization removes it (`solve`).
+    """
+
+    MAX_KRYLOV = 25
+
+    def __init__(self, it):
+        self.it = it
+        form = it.form
+        self.groups = form.groups
+        self.R, self.lam, self.W = zip(*map(_nt_factor_stack, it.X, it.S))
+        buf = np.zeros(form.ba.offsets[-1])
+        for g, W, place in zip(self.groups, self.W, form.ba.place):
+            g.add_schur(W, buf, place)
+        self.factor = _BlockAngularFactor(form.ba, buf)
+        self.Rt = [np.transpose(R, (0, 2, 1)) for R in self.R]
+        # residual of the LMI in the NT-scaled space, shared by both solves
+        self.Rl_sc = [Rt @ Rl @ R for R, Rt, Rl in zip(self.R, self.Rt, it.Rlmi)]
+        # accuracy the Schur solve must reach: the residual it leaves is the
+        # next dual residual, which moves the dual objective by r_d'y; a
+        # hundredth of the current gap (or of r_d itself) is plenty
+        self.target = 1e-2 * max(
+            float(np.linalg.norm(it.r_d)),
+            abs(it.pobj - it.dobj)
+            / (form.c_gamma * max(1.0, float(np.linalg.norm(it.y)))),
+        )
+        # where the dual residual does not shrink, GMRES stalls at its size
+        # (on null(E)); a residual within twice that is as far as it gets
+        self.floor = 2.0 * float(np.linalg.norm(form.ba.project(it.r_d)))
+
+    def predictor_corrector(self):
+        """(ap, ad, direction) of Mehrotra's predictor-corrector step.
+
+        The affine predictor aims at zero complementarity; the gap it would
+        reach sets the centering sigma, and the corrector adds its
+        second-order term, all in the NT-scaled space.
+        """
+        it, form = self.it, self.it.form
+        G_aff = []
+        for lam, Rl in zip(self.lam, self.Rl_sc):
+            G = np.zeros_like(Rl)
+            ar = np.arange(lam.shape[1])
+            G[:, ar, ar] = -lam ** 2 / lam
+            G_aff.append(G)
+        aff = self.direction(G_aff)
+        ap_a, ad_a = self.step_lengths(aff)
+        _, _, dS_a, dX_a, Ds_a, Dx_a = aff
+        gap_aff = sum(
+            float(np.einsum("bij,bij->", X + ad_a * dX, S + ap_a * dS))
+            for X, S, dX, dS in zip(it.X, it.S, dX_a, dS_a)
+        )
+        mu_aff = max(gap_aff / form.dim, 0.0)
+        sigma = (mu_aff / it.mu) ** 3
+        # keep complementarity commensurate with the remaining objective
+        # gap: collapsing mu early leaves the iterate drifting to the
+        # optimum through increasingly ill-conditioned systems
+        gap_scaled = abs(it.pobj - it.dobj) / form.c_gamma
+        sigma_floor = min(0.5, 0.05 * gap_scaled / max(form.dim * it.mu, 1e-300))
+        sigma = min(0.999, max(1e-12, sigma, sigma_floor))
+
+        # corrector with second-order term in the scaled space
+        G_corr = []
+        for lam, Dx, Ds in zip(self.lam, Dx_a, Ds_a):
+            T = -0.5 * (Dx @ Ds + Ds @ Dx)
+            ar = np.arange(lam.shape[1])
+            T[:, ar, ar] += sigma * it.mu - lam ** 2
+            G_corr.append(2.0 * T / (lam[:, :, None] + lam[:, None, :]))
+        corr = self.direction(G_corr)
+        return (*self.step_lengths(corr), corr)
+
+    def direction(self, Gt):
+        """Newton direction (dy, dnu, dS, dX, Ds, Dx) for scaled targets Gt.
+
+        In the NT-scaled space the linearized complementarity reads
+        Dx + Ds = Gt with Ds = R' dS R and Dx = R^-1 dX R^-T.  When the
+        Schur solve is refined, dy is longdouble, and dS and Ds (where
+        the large and small eigen-directions of W cancel) follow it
+        into extended precision before they are rounded back.
+        """
+        rhs1 = -self.it.r_d
+        for g, R, Rt, G, Rl in zip(self.groups, self.R, self.Rt, Gt, self.Rl_sc):
+            rhs1 += g.adjoint(R @ (G - Rl) @ Rt)
+        dy, dnu = self.solve(rhs1)
+        dS, dX, Ds, Dx = [], [], [], []
+        for g, R, Rt, G, Rl in zip(self.groups, self.R, self.Rt, Gt, self.it.Rlmi):
+            dSg = _sym(g.lmi_step(dy) + Rl)
+            dS.append(dSg.astype(float))
+            Ds.append(_sym(Rt @ dSg @ R).astype(float))
+            Dx.append(G - Ds[-1])
+            dX.append(_sym(R @ Dx[-1] @ Rt))
+        return dy.astype(float), dnu, dS, dX, Ds, Dx
+
+    def step_lengths(self, direction):
+        """(ap, ad): fractions of the longest steps that keep S and X PSD."""
+        Ds, Dx = direction[4:]
+        ap = min([np.inf, *map(_min_step_stack, self.lam, Ds)])
+        ad = min([np.inf, *map(_min_step_stack, self.lam, Dx)])
+        # step fraction approaches 1 as full steps become possible
+        gamma = 0.9 + 0.09 * min(1.0, ap, ad)
+        return min(1.0, gamma * ap), min(1.0, gamma * ad)
+
+    def apply(self, v):
+        """M v for a longdouble v; the double G and W widen exactly."""
+        out = np.zeros(len(v), dtype=_XP)
+        for g, W in zip(self.groups, self.W):
+            out += g.adjoint(W @ g.lmi_step(v) @ W)
+        return out
+
+    def solve(self, rhs1):
+        """(dy, dnu): M dy - E' dnu = rhs1 and E dy = r_e, to the target.
+
+        dy is longdouble exactly when the solve was refined, so that what
+        is computed from it stays in extended precision.  The
+        double-precision solve is kept when its rounding error bound
+        eps |M| |dy|_1 already meets the target (every early iteration).
+        Otherwise its residual is taken in extended precision and reduced
+        by right-preconditioned GMRES on null(E): GMRES minimizes the
+        residual, which is what the step needs, and the double factor
+        leaves only the few directions blurred by its shift for the Krylov
+        space to resolve.  GMRES also stops once the residual is down to
+        `floor`: the dual residual can hold a part that no direction
+        removes, and GMRES stalls at about its size, however far below
+        that the target lies.
+        """
+        factor, target = self.factor, self.target
+        dy, dnu, res = factor.solve(rhs1, self.it.r_e)
+        bound = 4.0 * np.finfo(float).eps * factor.diag_max * float(
+            np.abs(dy).sum()
+        )
+        if factor.shift == 0.0 and max(bound, res) <= target:
+            return dy, dnu
+        project = factor.project
+        rhs1 = rhs1.astype(_XP)
+        dy = dy.astype(_XP)
+        Mdy = self.apply(dy)
+        res = project(rhs1 - Mdy)
+        beta = float(np.sqrt(res @ res))
+        V, Z, MZ = [res / beta] if beta > 0.0 else [], [], []
+        H = np.zeros((self.MAX_KRYLOV + 1, self.MAX_KRYLOV))
+        coef = np.zeros(0)
+        for j in range(self.MAX_KRYLOV if beta > target else 0):
+            Z.append(factor.precond(V[j].astype(float)).astype(_XP))
+            MZ.append(self.apply(Z[j]))
+            w = project(MZ[j])
+            for _ in range(2):
+                for i in range(j + 1):
+                    h = float(w @ V[i])
+                    H[i, j] += h
+                    w -= h * V[i]
+            H[j + 1, j] = float(np.sqrt(w @ w))
+            e1 = np.zeros(j + 2)
+            e1[0] = beta
+            coef = np.linalg.lstsq(H[: j + 2, : j + 1], e1, rcond=None)[0]
+            size = float(np.linalg.norm(e1 - H[: j + 2, : j + 1] @ coef))
+            if size <= max(target, self.floor) or H[j + 1, j] <= 1e-30 * beta:
+                break
+            V.append(w / H[j + 1, j])
+        for cf, zv, mzv in zip(coef, Z, MZ):
+            dy += _XP(cf) * zv
+            Mdy += _XP(cf) * mzv
+
+        return dy, factor.multipliers(Mdy - rhs1)
 
 
 # The OpenBLAS builds numpy and scipy each carry, with a thread pool each:
@@ -725,19 +915,19 @@ def _one_blas_thread():
 
 
 @_one_blas_thread()
-def solve_internal(sf, tol=1e-8, max_iter=200, verbose=False):
+def solve_internal(sf, tol=1e-8, max_iter=200):
     """Solve the block SDP with the built-in interior-point method.
 
     Nesterov-Todd scaled path following with a Mehrotra predictor-corrector
-    step from an infeasible start.  The Schur matrix is assembled and
-    factored per connected component of the variables, equality rows are
-    eliminated exactly from the Newton system (`_BlockAngular`), and near
-    the optimum that system is solved to extended accuracy
-    (`_NewtonSystem`).  Deterministic: fixed
-    initialization and iteration rule, no randomness, and BLAS at one
-    thread (`_one_blas_thread`).  Raises ProblemTooLargeError above the
-    size cap (RATSOS_PSD_CAP overrides the default of 3000), and
-    SolveError on a form with no decision variables.
+    step from an infeasible start.  `_Form` sets the problem up once,
+    `_Iterate` holds a point with its residuals, and `_Scaling` assembles,
+    factors and solves the Newton system of one iteration: per connected
+    component of the variables, with the equality rows eliminated exactly
+    (`_BlockAngular`), and to extended accuracy near the optimum.
+    Deterministic: fixed initialization and iteration rule, no randomness,
+    and BLAS at one thread (`_one_blas_thread`).  Raises
+    ProblemTooLargeError above the size cap (RATSOS_PSD_CAP overrides the
+    default of 3000), and SolveError on a form with no decision variables.
     """
     if not sf.num_vars:
         raise SolveError(
@@ -751,269 +941,60 @@ def solve_internal(sf, tol=1e-8, max_iter=200, verbose=False):
             "export the instance with the SDPA writer instead"
         )
 
-    m = sf.num_vars
-    # solve with a unit-scale objective; duals scale linearly, so the
-    # reported values are simply multiplied back
-    c_raw = sf.objective
-    c_gamma = max(1.0, float(np.abs(c_raw).max()))
-    c = c_raw / c_gamma
-    by_size = {}
-    for blk in sf.blocks:
-        by_size.setdefault(blk.size, []).append(blk)
-    groups = [
-        _SizeGroup(size, by_size[size], m) for size in _group_order(by_size)
-    ]
-    E = sf.eq_mat
-    nf = sf.num_eq
-    d = sf.eq_rhs if nf else np.zeros(0)
-    ET = E.T.tocsr() if nf else None
-
-    dim = total_dim
-    data_scale = 1.0 + max(
-        [float(np.abs(g.C).max()) if g.C.size else 0.0 for g in groups]
-        + [float(np.abs(d).max()) if nf else 0.0]
-    )
-    obj_scale = 1.0 + float(np.abs(c).max())
-
-    # infeasible start: identity-like matrices scaled to dominate the data
-    eye = {g.s: np.eye(g.s) for g in groups}
-    S = {}
-    X = {}
-    for gi, g in enumerate(groups):
-        eta = np.maximum(
-            10.0, 1.5 * np.sqrt((g.C ** 2).sum(axis=(1, 2)))
-        )
-        S[gi] = eta[:, None, None] * eye[g.s]
-        X[gi] = max(10.0, obj_scale) * np.tile(eye[g.s], (g.B, 1, 1))
-    y = np.zeros(m)
-    nu = np.zeros(nf)
-
-    ba = _BlockAngular(m, groups, E if nf else None)
-
+    form = _Form(sf)
+    it = form.start()
     best = None
     slow = 0
     status = "max_iter"
-    iters_done = 0
-
-    for it in range(1, max_iter + 1):
-        iters_done = it
-        Rlmi = {gi: g.lmi(y) - S[gi] for gi, g in enumerate(groups)}
-        r_e = d - E @ y if nf else np.zeros(0)
-        Ax = np.zeros(m)
-        for gi, g in enumerate(groups):
-            Ax += g.adjoint(X[gi])
-        r_d = c - Ax - (ET @ nu if nf else 0.0)
-
-        gap_inner = sum(
-            float(np.einsum("bij,bij->", X[gi], S[gi]))
-            for gi in range(len(groups))
-        )
-        mu = gap_inner / dim
-
-        pobj = c_gamma * float(c @ y)
-        # the Lagrangian at (y, X, nu): the dual residual is charged at y,
-        # so a residual no step removes shows in the gap instead of hiding
-        dobj = c_gamma * float(
-            (nu @ d if nf else 0.0)
-            - sum(
-                float(np.einsum("bij,bij->", X[gi], g.C))
-                for gi, g in enumerate(groups)
-            )
-            + float(r_d @ y)
-        )
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        pinf = max(
-            [float(np.abs(r_e).max()) if nf else 0.0]
-            + [float(np.abs(Rb).max()) if Rb.size else 0.0 for Rb in Rlmi.values()]
-        ) / data_scale
-        dinf = float(np.abs(r_d).max()) / obj_scale
-
-        err = max(relgap, pinf, dinf)
-        if best is None or err < best[0]:
-            best = (err, pobj, dobj, relgap, pinf, dinf, y.copy())
-            slow = 0
+    for iterations in range(1, max_iter + 1):
+        if best is None or it.err < best.err:
+            best, slow = it, 0
         else:
             slow += 1
-        if verbose:
-            print(
-                f"  it {it:3d}  mu {mu:9.2e}  gap {relgap:9.2e} "
-                f"pinf {pinf:9.2e}  dinf {dinf:9.2e}"
-            )
-        if err <= tol:
+        if it.err <= tol:
             status = "optimal"
-            break
-        if slow >= 12:
+        elif slow >= 12:
             status = "stalled"
-            break
-        if not np.isfinite(err) or not np.isfinite(mu):
+        elif not np.isfinite(it.err) or not np.isfinite(it.mu):
             status = "numerical_issue"
-            break
         # divergence heuristics for infeasible/unbounded instances
-        if dobj > 1e13 * data_scale and dinf < 1e-6:
+        elif it.dobj > 1e13 * form.data_scale and it.dinf < 1e-6:
             status = "infeasible"
-            break
-        if pobj < -1e13 * obj_scale and pinf < 1e-6:
+        elif it.pobj < -1e13 * form.obj_scale and it.pinf < 1e-6:
             status = "unbounded"
-            break
+        else:
+            try:
+                ap, ad, direction = _Scaling(it).predictor_corrector()
+            except (ValueError, np.linalg.LinAlgError):
+                status = "numerical_issue"
+                break
+            if not (np.isfinite(ap) and np.isfinite(ad)):
+                status = "numerical_issue"
+            elif min(ap, ad) < 1e-8:
+                status = "stalled"
+            else:
+                it = it.step(ap, ad, direction)
+                continue
+        break
 
-        try:
-            nts = {
-                gi: _nt_factor_stack(X[gi], S[gi])
-                for gi in range(len(groups))
-            }
-        except np.linalg.LinAlgError:
-            status = "numerical_issue"
-            break
-
-        buf = np.zeros(ba.offsets[-1])
-        for gi, g in enumerate(groups):
-            g.add_schur(nts[gi][2], buf, ba.place[gi])
-        try:
-            factor = _BlockAngularFactor(ba, buf)
-        except (ValueError, np.linalg.LinAlgError):
-            status = "numerical_issue"
-            break
-        newton = _NewtonSystem(
-            factor, groups, [nts[gi][2] for gi in range(len(groups))]
-        )
-
-        # residual of the LMI in the NT-scaled space, shared by all solves
-        Rl_sc = {
-            gi: np.transpose(nts[gi][0], (0, 2, 1)) @ Rlmi[gi] @ nts[gi][0]
-            for gi in range(len(groups))
-        }
-        # accuracy the Schur solve must reach: the residual it leaves is the
-        # next dual residual, which moves the dual objective by r_d'y; a
-        # hundredth of the current gap (or of r_d itself) is plenty
-        solve_target = 1e-2 * max(
-            float(np.linalg.norm(r_d)),
-            abs(pobj - dobj) / (c_gamma * max(1.0, float(np.linalg.norm(y)))),
-        )
-        # where the dual residual does not shrink, GMRES stalls at its size
-        # (on null(E)); a residual within twice that is as far as it gets
-        residual_floor = 2.0 * float(np.linalg.norm(ba.project(r_d)))
-
-        def unscale(gi, Z):
-            R = nts[gi][0]
-            return R @ Z @ np.transpose(R, (0, 2, 1))
-
-        def sym(Z):
-            return 0.5 * (Z + np.transpose(Z, (0, 2, 1)))
-
-        def direction(Gt):
-            """Newton direction for scaled complementarity targets Gt.
-
-            In the NT-scaled space the linearized complementarity reads
-            Dx + Ds = Gt with Ds = R' dS R and Dx = R^-1 dX R^-T.  When the
-            Schur solve is refined, dy is longdouble, and dS and Ds (where
-            the large and small eigen-directions of W cancel) follow it
-            into extended precision before they are rounded back.
-            """
-            rhs1 = -r_d.copy()
-            for gi, g in enumerate(groups):
-                rhs1 += g.adjoint(unscale(gi, Gt[gi] - Rl_sc[gi]))
-            dy, dnu = newton.solve(rhs1, r_e, solve_target, residual_floor)
-            dS, dX, Ds, Dx = {}, {}, {}, {}
-            for gi, g in enumerate(groups):
-                dSg = sym(g.lmi_step(dy) + Rlmi[gi])
-                R = nts[gi][0]
-                dS[gi] = dSg.astype(float)
-                Ds[gi] = sym(np.transpose(R, (0, 2, 1)) @ dSg @ R).astype(float)
-                Dx[gi] = Gt[gi] - Ds[gi]
-                dX[gi] = sym(unscale(gi, Dx[gi]))
-            return dy.astype(float), dnu, dS, dX, Ds, Dx
-
-        def step_lengths(d):
-            _, _, _, _, Ds, Dx = d
-            ap = ad = np.inf
-            for gi in range(len(groups)):
-                lam = nts[gi][1]
-                ap = min(ap, _min_step_stack(lam, Ds[gi]))
-                ad = min(ad, _min_step_stack(lam, Dx[gi]))
-            # step fraction approaches 1 as full steps become possible
-            gamma = 0.9 + 0.09 * min(1.0, ap, ad)
-            return min(1.0, gamma * ap), min(1.0, gamma * ad)
-
-        def diag_target(gi, t):
-            """Scaled target for a diagonal right-hand side t (B, s)."""
-            lam = nts[gi][1]
-            out = np.zeros_like(Rl_sc[gi])
-            ar = np.arange(groups[gi].s)
-            out[:, ar, ar] = t / lam
-            return out
-
-        try:
-            G_aff = {
-                gi: diag_target(gi, -nts[gi][1] ** 2)
-                for gi in range(len(groups))
-            }
-            aff = direction(G_aff)
-            ap_a, ad_a = step_lengths(aff)
-            _, _, dS_a, dX_a, Ds_a, Dx_a = aff
-            gap_aff = sum(
-                float(np.einsum(
-                    "bij,bij->",
-                    X[gi] + ad_a * dX_a[gi],
-                    S[gi] + ap_a * dS_a[gi],
-                ))
-                for gi in range(len(groups))
-            )
-            mu_aff = max(gap_aff / dim, 0.0)
-            sigma = (mu_aff / mu) ** 3
-            # keep complementarity commensurate with the remaining objective
-            # gap: collapsing mu early leaves the iterate drifting to the
-            # optimum through increasingly ill-conditioned systems
-            gap_scaled = abs(pobj - dobj) / c_gamma
-            sigma_floor = min(0.5, 0.05 * gap_scaled / max(dim * mu, 1e-300))
-            sigma = min(0.999, max(1e-12, sigma, sigma_floor))
-
-            # corrector with second-order term in the scaled space
-            G_corr = {}
-            for gi, g in enumerate(groups):
-                lam = nts[gi][1]
-                T = -0.5 * (Dx_a[gi] @ Ds_a[gi] + Ds_a[gi] @ Dx_a[gi])
-                ar = np.arange(g.s)
-                T[:, ar, ar] += sigma * mu - lam ** 2
-                G_corr[gi] = 2.0 * T / (lam[:, :, None] + lam[:, None, :])
-            corr = direction(G_corr)
-            ap, ad = step_lengths(corr)
-            dy, dnu, dS, dX, _, _ = corr
-        except (np.linalg.LinAlgError, ValueError):
-            status = "numerical_issue"
-            break
-        if not (np.isfinite(ap) and np.isfinite(ad)):
-            status = "numerical_issue"
-            break
-        if min(ap, ad) < 1e-8:
-            status = "stalled"
-            break
-        y += ap * dy
-        nu += ad * dnu
-        for gi in range(len(groups)):
-            Snew = S[gi] + ap * dS[gi]
-            Xnew = X[gi] + ad * dX[gi]
-            S[gi] = 0.5 * (Snew + np.transpose(Snew, (0, 2, 1)))
-            X[gi] = 0.5 * (Xnew + np.transpose(Xnew, (0, 2, 1)))
-
-    err, pobj, dobj, relgap, pinf, dinf, y_best = best
     if status in ("max_iter", "stalled", "numerical_issue"):
-        if err <= tol:
+        if best.err <= tol:
             status = "optimal"
-        elif err <= max(1e-5, 1e3 * tol):
+        elif best.err <= max(1e-5, 1e3 * tol):
             status = "near_optimal"
         elif status == "stalled":
             status = "numerical_issue"
 
     return SolveReport(
         status=status,
-        primal=pobj,
-        dual=dobj,
-        gap=relgap,
-        iterations=iters_done,
-        pinf=pinf,
-        dinf=dinf,
-        y=y_best,
-        schur_blocks=tuple(int(n) for n in ba.sizes),
+        primal=best.pobj,
+        dual=best.dobj,
+        gap=best.relgap,
+        iterations=iterations,
+        pinf=best.pinf,
+        dinf=best.dinf,
+        y=best.y,
+        schur_blocks=tuple(int(n) for n in form.ba.sizes),
     )
 
 
@@ -1056,21 +1037,20 @@ def export_sdpa(sf, path):
             agg[key] = agg.get(key, 0.0) + a
         entries += [(*key, v) for key, v in agg.items() if v != 0.0]
 
-    if nf:
-        offset = len(ones)
-        coo = sf.eq_mat.tocoo()
-        for r, ccol, v in zip(coo.row, coo.col, coo.data):
-            if v == 0.0:
-                continue
-            p_plus = offset + 2 * int(r) + 1
-            p_minus = p_plus + 1
-            entries.append((int(ccol) + 1, dbi, p_plus, p_plus, v))
-            entries.append((int(ccol) + 1, dbi, p_minus, p_minus, -v))
-        for r, b in enumerate(sf.eq_rhs):
-            if b != 0.0:
-                p_plus = offset + 2 * r + 1
-                entries.append((0, dbi, p_plus, p_plus, b))
-                entries.append((0, dbi, p_plus + 1, p_plus + 1, -b))
+    offset = len(ones)
+    coo = sf.eq_mat.tocoo()
+    for r, ccol, v in zip(coo.row, coo.col, coo.data):
+        if v == 0.0:
+            continue
+        p_plus = offset + 2 * int(r) + 1
+        p_minus = p_plus + 1
+        entries.append((int(ccol) + 1, dbi, p_plus, p_plus, v))
+        entries.append((int(ccol) + 1, dbi, p_minus, p_minus, -v))
+    for r, b in enumerate(sf.eq_rhs):
+        if b != 0.0:
+            p_plus = offset + 2 * r + 1
+            entries.append((0, dbi, p_plus, p_plus, b))
+            entries.append((0, dbi, p_plus + 1, p_plus + 1, -b))
 
     entries.sort(key=lambda e: e[:4])
     with open(path, "w", newline="\n") as fh:
@@ -1194,24 +1174,19 @@ def read_sdpa(path):
             blocks.append(psd_block(label, 1, [0] * len(row), [0] * len(row),
                                     list(row), list(row.values()),
                                     [0], [0], [dconst[p]]))
-    eq_mat = None
-    eq_rhs = None
-    if eq_rows:
-        data, ri, ci, rb = [], [], [], []
-        for r, (row, b) in enumerate(eq_rows):
-            for v, a in sorted(row.items()):
-                ri.append(r)
-                ci.append(v)
-                data.append(a)
-            rb.append(b)
-        eq_mat = sp.csr_matrix((data, (ri, ci)), shape=(len(eq_rows), mdim))
-        eq_rhs = np.asarray(rb)
+    data, ri, ci, rb = [], [], [], []
+    for r, (row, b) in enumerate(eq_rows):
+        for v, a in sorted(row.items()):
+            ri.append(r)
+            ci.append(v)
+            data.append(a)
+        rb.append(b)
     return SdpStandardForm(
         num_vars=mdim,
         objective=cvec,
         blocks=blocks,
-        eq_mat=eq_mat,
-        eq_rhs=eq_rhs,
+        eq_mat=sp.csr_matrix((data, (ri, ci)), shape=(len(eq_rows), mdim)),
+        eq_rhs=np.asarray(rb, dtype=float),
     )
 
 

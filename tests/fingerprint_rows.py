@@ -1,0 +1,48 @@
+"""Print a fingerprint of each reference row of the solver.
+
+One line per row: label, status, iterations, primal, and the first 16 hex
+digits of sha256(y bytes + repr of primal, dual, gap, pinf, dinf, status,
+iterations, schur_blocks).  The rows are the 28 `ratsos bench` rows and
+`rand-srfo` `dense`/`signsym` k=3 at seeds 2, 5, 7001 and 7003, each built
+and solved by `solve_relaxation` as `ratsos bench` does.  A change that
+must leave the solver bit-identical prints the same lines before and after:
+
+    PYTHONPATH=src python tests/fingerprint_rows.py > rows.txt
+
+It takes about a minute on one core.  pytest does not collect this file.
+"""
+
+import hashlib
+
+from ratsos.cli import BENCH_TABLES, _bench_rows
+from ratsos.families import gen_rand_srfo
+from ratsos.relax import solve_relaxation
+
+
+def fingerprint(rep):
+    facts = (rep.primal, rep.dual, rep.gap, rep.pinf, rep.dinf, rep.status,
+             rep.iterations, rep.schur_blocks)
+    digest = hashlib.sha256(rep.y.tobytes() + repr(facts).encode())
+    return digest.hexdigest()[:16]
+
+
+def rows():
+    """(label, problem, method, k, ratio order) of every reference row."""
+    for table in BENCH_TABLES:
+        for prob, method, k, order in _bench_rows(table):
+            yield f"{table}:{prob.name}:{method}:{order}:{k}", prob, method, k, order
+    for seed in (2, 5, 7001, 7003):
+        prob = gen_rand_srfo(6, 4, 3, 0.2, seed)
+        for method in ("dense", "signsym"):
+            yield f"srfo{seed}:{method}:3", prob, method, 3, None
+
+
+def main():
+    for label, prob, method, k, order in rows():
+        rep = solve_relaxation(prob, method, k, ratio_order=order).report
+        print(label, rep.status, rep.iterations, repr(rep.primal), fingerprint(rep),
+              flush=True)
+
+
+if __name__ == "__main__":
+    main()

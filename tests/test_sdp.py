@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,50 @@ class TestInternalSolver:
         want = "near_optimal" if err <= 1e-5 else "max_iter"
         assert rep.status == want, (err, rep.status)
 
+    @pytest.mark.parametrize("blocks, objective, eq, status, iterations", [
+        # min -y s.t. y >= 0
+        ([(1.0, None)], -1.0, None, "unbounded", 6),
+        # y >= 0 and -1 - y >= 0
+        ([(1.0, None), (-1.0, -1.0)], 1.0, None, "infeasible", 6),
+        # y >= 0, y = 1 and y = 2: infeasible, though no heuristic says so
+        ([(1.0, None)], 1.0, ([1.0, 1.0], [1.0, 2.0]), None, None),
+    ], ids=["unbounded", "infeasible", "inconsistent-equalities"])
+    def test_one_variable_statuses(self, blocks, objective, eq, status, iterations):
+        # the statuses of the divergence heuristics and of a failed solve
+        sf = SdpStandardForm(
+            num_vars=1,
+            objective=np.array([objective]),
+            blocks=[
+                psd_block(f"b{i}", 1, [0], [0], [0], [coef],
+                          *(() if const is None else ([0], [0], [const])))
+                for i, (coef, const) in enumerate(blocks)
+            ],
+            eq_mat=None if eq is None else sp.csr_matrix(np.c_[eq[0]]),
+            eq_rhs=None if eq is None else np.array(eq[1]),
+        )
+        rep = solve_internal(sf)
+        if status is None:
+            assert not rep.ok(), rep.status
+        else:
+            assert (rep.status, rep.iterations) == (status, iterations)
+
+    def test_previous_factor_freed(self, monkeypatch):
+        # one Schur matrix and factor alive at a time: none of an earlier
+        # iteration when the next is built
+        live, seen = weakref.WeakSet(), []
+
+        class Probe(sdp._BlockAngularFactor):
+            def __init__(self, ba, buf):
+                seen.append(len(live))
+                super().__init__(ba, buf)
+                live.add(self)
+
+        monkeypatch.setattr(sdp, "_BlockAngularFactor", Probe)
+        sf = to_standard_form(build(gen_reznick_sparse_chain(2, 1), "cs", 3))
+        rep = solve_internal(sf)
+        assert rep.status == "optimal"
+        assert seen == [0] * (rep.iterations - 1)
+
     def test_masked_sparse_chain_reaches_tolerance(self):
         # five decoupled Reznick quotients on spheres: the optimum is not
         # strictly complementary and the objective is badly scaled (max |c|
@@ -231,14 +276,8 @@ class TestInternalSolver:
 
 def schur_structure(sf):
     """Size groups and block-angular structure, as `solve_internal` sets them up."""
-    by_size = {}
-    for blk in sf.blocks:
-        by_size.setdefault(blk.size, []).append(blk)
-    groups = [
-        sdp._SizeGroup(size, by_size[size], sf.num_vars)
-        for size in sdp._group_order(by_size)
-    ]
-    return groups, sdp._BlockAngular(sf.num_vars, groups, sf.eq_mat)
+    form = sdp._Form(sf)
+    return form.groups, form.ba
 
 
 def first_iterate_schur(sf):
@@ -503,10 +542,14 @@ class TestSdpaFormat:
             read_sdpa(str(path))
 
     def test_trivial_round_trip(self, tmp_path):
+        # no equality rows: read back as E with 0 rows, written again alike
         sf = trivial_sdp()
-        path = tmp_path / "t.dat-s"
+        path, again = tmp_path / "t.dat-s", tmp_path / "u.dat-s"
         export_sdpa(sf, str(path))
         back = read_sdpa(str(path))
+        export_sdpa(back, str(again))
+        assert back.num_eq == 0 and back.eq_mat.shape == (0, 1)
+        assert path.read_bytes() == again.read_bytes()
         rep = solve_internal(back, tol=1e-9)
         assert rep.primal == pytest.approx(1.0, abs=1e-7)
 
