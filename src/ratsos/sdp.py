@@ -595,6 +595,20 @@ def _sym(Z):
     return 0.5 * (Z + np.transpose(Z, (0, 2, 1)))
 
 
+def _matmul(A, B):
+    """A @ B over stacks, with longdouble products taken by `np.vecdot`.
+
+    numpy has no BLAS for longdouble, and its matmul loop re-reads the
+    running sum of every entry from memory at each term.  vecdot keeps
+    that sum in a register: it starts from 0 and adds the same rounded
+    products in the same order, so it gives the same bits, 2-3x faster on
+    blocks of 14 and up.  Double products stay on BLAS.
+    """
+    if np.result_type(A, B) != _XP:
+        return A @ B
+    return np.vecdot(A[..., :, None, :], np.swapaxes(B, -1, -2)[..., None, :, :])
+
+
 class _Form:
     """What the loop needs of one SdpStandardForm, set up once per solve.
 
@@ -786,7 +800,7 @@ class _Scaling:
         for g, R, Rt, G, Rl in zip(self.groups, self.R, self.Rt, Gt, self.it.Rlmi):
             dSg = _sym(g.lmi_step(dy) + Rl)
             dS.append(dSg.astype(float))
-            Ds.append(_sym(Rt @ dSg @ R).astype(float))
+            Ds.append(_sym(_matmul(_matmul(Rt, dSg), R)).astype(float))
             Dx.append(G - Ds[-1])
             dX.append(_sym(R @ Dx[-1] @ Rt))
         return dy.astype(float), dnu, dS, dX, Ds, Dx
@@ -804,7 +818,7 @@ class _Scaling:
         """M v for a longdouble v; the double G and W widen exactly."""
         out = np.zeros(len(v), dtype=_XP)
         for g, W in zip(self.groups, self.W):
-            out += g.adjoint(W @ g.lmi_step(v) @ W)
+            out += g.adjoint(_matmul(_matmul(W, g.lmi_step(v)), W))
         return out
 
     def solve(self, rhs1):
@@ -927,14 +941,19 @@ def solve_internal(sf, tol=1e-8, max_iter=200):
     Deterministic: fixed initialization and iteration rule, no randomness,
     and BLAS at one thread (`_one_blas_thread`).  Raises
     ProblemTooLargeError above the size cap (RATSOS_PSD_CAP overrides the
-    default of 3000), and SolveError on a form with no decision variables.
+    default of 3000), and SolveError on a form with no decision variables
+    or no PSD block.
     """
     if not sf.num_vars:
         raise SolveError(
             "the form has no decision variables: its LMI holds constants only"
         )
-    psd_cap = int(os.environ.get("RATSOS_PSD_CAP", DEFAULT_PSD_CAP))
     total_dim = sf.total_psd_dim()
+    if not total_dim:
+        raise SolveError(
+            "the form has no PSD block: there is no cone for the method to follow"
+        )
+    psd_cap = int(os.environ.get("RATSOS_PSD_CAP", DEFAULT_PSD_CAP))
     if total_dim > psd_cap:
         raise ProblemTooLargeError(
             f"total PSD dimension {total_dim} exceeds cap {psd_cap}; "

@@ -179,6 +179,19 @@ class TestInternalSolver:
             with pytest.raises(SolveError, match="no decision variables"):
                 solve_internal(form)
 
+    def test_no_psd_block_is_a_solve_error(self):
+        # one variable, c = 1, the rows y = 1 and y = 2, and no block: mu
+        # would divide by a PSD dimension of 0
+        sf = SdpStandardForm(
+            num_vars=1,
+            objective=np.array([1.0]),
+            blocks=[],
+            eq_mat=sp.csr_matrix(np.c_[[1.0, 1.0]]),
+            eq_rhs=np.array([1.0, 2.0]),
+        )
+        with pytest.raises(SolveError, match="no PSD block"):
+            solve_internal(sf)
+
     def test_diag_block_solve(self):
         # min y1 + y2 s.t. y1 >= 1, y2 >= 2 as two 1x1 PSD blocks
         blocks = [
@@ -487,6 +500,46 @@ class TestBlockAngularNewton:
         assert split.iterations == dense.iterations
         assert (split.primal, split.dual) == (dense.primal, dense.dual)
         assert np.array_equal(split.y, dense.y)
+
+
+def wvw(W, V):
+    """W V W per block, as `_Scaling.apply` forms it."""
+    return sdp._matmul(sdp._matmul(W, V), W)
+
+
+class TestExtendedProducts:
+    @pytest.mark.parametrize("s", [1, 3, 14, 49])
+    def test_matmul_bit_identical(self, s, monkeypatch):
+        # vecdot adds the same rounded products in the same order as
+        # matmul's longdouble loop; a numpy upgrade must not change that
+        rng = seeded_rng(s)
+        W = rng.normal(size=(4, s, s))
+        V = rng.normal(size=(4, s, s)).astype(sdp._XP) / 3
+        Rt = np.transpose(W, (0, 2, 1))
+        for A, B in [(Rt, V), (W, V), (V, W)]:
+            got = sdp._matmul(A, B)
+            assert got.dtype == sdp._XP
+            assert np.array_equal(got, A @ B)
+        assert np.array_equal(wvw(W, V), W @ V @ W)
+
+        def no_vecdot(*args, **kwargs):
+            raise AssertionError("double operands go through BLAS")
+
+        monkeypatch.setattr(np, "vecdot", no_vecdot)
+        assert np.array_equal(sdp._matmul(Rt, W), Rt @ W)
+
+    def test_wvw_benchmark(self, benchmark):
+        # times the longdouble W V W of `_Scaling.apply` on one group of
+        # three 49x49 blocks (`pytest --benchmark-only -k wvw`); asserts
+        # nothing about time
+        sf = to_standard_form(build(gen_reznick_sparse_chain(3, 2), "cs", 6))
+        (g,), _ = schur_structure(sf)
+        rng = seeded_rng(9)
+        W = random_scaling(rng, g)
+        V = g.lmi_step(rng.normal(size=sf.num_vars).astype(sdp._XP) / 3)
+        got = benchmark.pedantic(wvw, args=(W, V), rounds=3)
+        assert g.s == 49 and V.dtype == sdp._XP
+        assert np.array_equal(got, W @ V @ W)
 
 
 class TestSdpaFormat:
