@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import dsyr2k as _syr2k
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs, dtrtrs as _trtrs
 import scipy.sparse as sp
 
 from .errors import ProblemTooLargeError, SolveError
@@ -236,22 +236,23 @@ class _SizeGroup:
         """Accumulated <F_l, T_b> over all blocks, as a length-m vector."""
         return self.GT @ Tstack.ravel()
 
-    def add_schur(self, W, buf, place):
+    def add_schur(self, W, views, place):
         """Add each block's <F_i, W F_j W> into its component's matrix.
 
         Per block, FW @ W_b forms every F_l W_b in nnz*s flops, one GEMM
         with W_b turns them into T[k, l, j] = (W_b F_l W_b)[k, j], and Fh
         gathers the inner products from T's stored positions.  `place[b]`
-        holds the flat positions in `buf` of the block's variable pairs
-        (`_BlockAngular.place`).
+        is the block's component k and the index of its variable pairs in
+        `views[k]` (`_BlockAngular.place`).
         """
         s = self.s
-        for Wb, FW, Fh, (i, j), pos in zip(W, self.FW, self.Fh, self.tri, place):
-            if pos is None:
+        for Wb, FW, Fh, (i, j), kb in zip(W, self.FW, self.Fh, self.tri, place):
+            if kb is None:
                 continue
             T = self.work[:FW.shape[0] * s].reshape(s, -1)
             np.matmul(Wb, (FW @ Wb).reshape(s, -1), out=T)
-            buf[pos] += Fh @ T.reshape(s, -1, s)[i, :, j]
+            k, idx = kb
+            views[k][idx] += Fh @ T.reshape(s, -1, s)[i, :, j]
 
 
 class _BlockAngular:
@@ -319,16 +320,15 @@ class _BlockAngular:
             comp_of[vs] = k
             self.local[vs] = np.arange(len(vs))
         self.offsets = np.concatenate([[0], np.cumsum(counts ** 2)])
-        # flat position of entry (i, j) of a component matrix: row_base[i] + local[j]
-        self.row_base = self.offsets[comp_of] + self.local * counts[comp_of]
         self.class_vars = [
             np.concatenate(self.vars[k0:k1]) for _, k0, k1 in self.classes
         ]
-        # per size group and block, the flat positions of the block's
-        # variable pairs
+        # per size group and block, (k, idx): the block's variable pairs
+        # are views(buf)[k][idx], the whole matrix when the block's
+        # variables are its component's in local order, an open mesh of
+        # their local numbers otherwise
         self.place = [
-            [self.row_base[vs][:, None] + self.local[vs] if len(vs) else None
-             for vs in g.vars_list]
+            [self._place(comp_of, vs) if len(vs) else None for vs in g.vars_list]
             for g in groups
         ]
 
@@ -380,6 +380,13 @@ class _BlockAngular:
                 self.piv_L = link[pk]
                 self.E_L = Et[:, self.piv_L].T
 
+    def _place(self, comp_of, vs):
+        k = int(comp_of[vs[0]])
+        loc = self.local[vs]
+        if np.array_equal(loc, np.arange(self.sizes[k])):
+            return k, slice(None)
+        return k, np.ix_(loc, loc)
+
     def views(self, buf, order="C"):
         """Per-component square matrices backed by one flat buffer."""
         return [
@@ -399,13 +406,11 @@ class _BlockAngular:
         """A dy in the row space of E with E dy = r_e."""
         dy = np.zeros(self.m)
         if self.r_I:
-            dy = self.Q_I @ sla.solve_triangular(
-                self.R_I, r_e[self.piv_I], trans="T"
-            )
+            dy = self.Q_I @ _solve_upper(self.R_I, r_e[self.piv_I], trans=1)
         if self.r_L:
             # E_L[piv_L] U = R_L' since U lies in null(E_intra)
-            dy += self.U @ sla.solve_triangular(
-                self.R_L, r_e[self.piv_L] - self.E_L @ dy, trans="T"
+            dy += self.U @ _solve_upper(
+                self.R_L, r_e[self.piv_L] - self.E_L @ dy, trans=1
             )
         return dy
 
@@ -413,15 +418,34 @@ class _BlockAngular:
         """dnu with E' dnu = (Q_I Q_I' + U U') v; dependent rows get zero."""
         dnu = np.zeros(self.nf)
         if self.r_L:
-            dnu[self.piv_L] = sla.solve_triangular(
+            dnu[self.piv_L] = _solve_upper(
                 self.R_L, np.asarray(self.U.T @ v, dtype=float)
             )
             v = v - self.E_L.T @ dnu[self.piv_L]
         if self.r_I:
-            dnu[self.piv_I] = sla.solve_triangular(
+            dnu[self.piv_I] = _solve_upper(
                 self.R_I, np.asarray(self.Q_I.T @ v, dtype=float)
             )
         return dnu
+
+
+def _solve_upper(R, b, trans=0):
+    """x with R x = b (trans=0) or R' x = b (trans=1), R upper triangular.
+
+    `sla.solve_triangular` by scipy's own rule, with only its finiteness
+    check on b kept: LAPACK reads R in Fortran order, so a C-ordered R
+    goes in as the lower triangular R' with the transpose flag flipped.
+    That rule, and not only the system solved, fixes the bits of x.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    if R.flags.f_contiguous:
+        x, info = _trtrs(R, b, lower=0, trans=trans)
+    else:
+        x, info = _trtrs(R.T, b, lower=1, trans=1 - trans)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed: info {info}")
+    return x
 
 
 def _pivoted_qr(At):
@@ -580,15 +604,13 @@ def _nt_factor_stack(X, S):
     return R, lam, W
 
 
-def _min_step_stack(lam, D):
-    """Largest alpha keeping diag(lam_b) + alpha * D_b PSD for all b."""
-    root = np.sqrt(lam)
-    scaled = D / root[:, :, None] / root[:, None, :]
-    emin = np.linalg.eigvalsh(_sym(scaled))[:, 0]
-    bad = emin < -1e-14
-    if not bad.any():
-        return np.inf
-    return float((-1.0 / emin[bad]).min())
+def _min_steps(lam, Ds, Dx):
+    """Largest alphas keeping diag(lam_b) + alpha * D_b PSD for all b, for
+    D = Ds and D = Dx, from one eigvalsh over both stacks."""
+    root = np.sqrt(np.concatenate((lam, lam)))
+    scaled = np.concatenate((Ds, Dx)) / root[:, :, None] / root[:, None, :]
+    emin = np.linalg.eigvalsh(_sym(scaled))[:, 0].reshape(2, -1)
+    return tuple(float((-1.0 / e[e < -1e-14]).min(initial=np.inf)) for e in emin)
 
 
 def _sym(Z):
@@ -725,8 +747,9 @@ class _Scaling:
         self.groups = form.groups
         self.R, self.lam, self.W = zip(*map(_nt_factor_stack, it.X, it.S))
         buf = np.zeros(form.ba.offsets[-1])
+        views = form.ba.views(buf)
         for g, W, place in zip(self.groups, self.W, form.ba.place):
-            g.add_schur(W, buf, place)
+            g.add_schur(W, views, place)
         self.factor = _BlockAngularFactor(form.ba, buf)
         self.Rt = [np.transpose(R, (0, 2, 1)) for R in self.R]
         # residual of the LMI in the NT-scaled space, shared by both solves
@@ -807,9 +830,8 @@ class _Scaling:
 
     def step_lengths(self, direction):
         """(ap, ad): fractions of the longest steps that keep S and X PSD."""
-        Ds, Dx = direction[4:]
-        ap = min([np.inf, *map(_min_step_stack, self.lam, Ds)])
-        ad = min([np.inf, *map(_min_step_stack, self.lam, Dx)])
+        aps, ads = zip(*map(_min_steps, self.lam, *direction[4:]))
+        ap, ad = min([np.inf, *aps]), min([np.inf, *ads])
         # step fraction approaches 1 as full steps become possible
         gamma = 0.9 + 0.09 * min(1.0, ap, ad)
         return min(1.0, gamma * ap), min(1.0, gamma * ad)

@@ -9,10 +9,18 @@ must leave the solver bit-identical prints the same lines before and after:
 
     PYTHONPATH=src python tests/fingerprint_rows.py > rows.txt
 
+With `--compare rows.txt` it prints only the rows whose line differs from
+the saved one (the saved line first, prefixed "-", then the new one, "+")
+and exits 1 if any row differs or is missing on either side:
+
+    PYTHONPATH=src python tests/fingerprint_rows.py --compare rows.txt
+
 It takes about a minute on one core.  pytest does not collect this file.
 """
 
+import argparse
 import hashlib
+import sys
 
 from ratsos.cli import BENCH_TABLES, _bench_rows
 from ratsos.families import gen_rand_srfo
@@ -38,11 +46,33 @@ def rows():
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="FILE",
+                        help="print only the rows that differ from a saved run")
+    args = parser.parse_args()
+    saved = None
+    if args.compare:
+        with open(args.compare) as fh:
+            # the label is all but the last four fields (it may hold spaces)
+            saved = {line.rsplit(" ", 4)[0]: line.rstrip("\n")
+                     for line in fh if line.strip()}
+    differ = False
     for label, prob, method, k, order in rows():
         rep = solve_relaxation(prob, method, k, ratio_order=order).report
-        print(label, rep.status, rep.iterations, repr(rep.primal), fingerprint(rep),
-              flush=True)
+        line = " ".join(map(str, (label, rep.status, rep.iterations,
+                                  repr(rep.primal), fingerprint(rep))))
+        if saved is None:
+            print(line, flush=True)
+            continue
+        old = saved.pop(label, None)
+        if old != line:
+            differ = True
+            print(f"-{old or label + ' (missing)'}\n+{line}", flush=True)
+    for old in (saved or {}).values():
+        differ = True
+        print(f"-{old}\n+(missing)", flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -302,10 +302,11 @@ def first_iterate_schur(sf):
     """
     groups, ba = schur_structure(sf)
     buf = np.zeros(ba.offsets[-1])
+    views = ba.views(buf)
     dense = np.zeros((sf.num_vars, sf.num_vars))
     for g, place in zip(groups, ba.place):
         eta = np.maximum(10.0, 1.5 * np.sqrt((g.C ** 2).sum(axis=(1, 2))))
-        g.add_schur(np.sqrt(10.0 / eta)[:, None, None] * np.eye(g.s), buf, place)
+        g.add_schur(np.sqrt(10.0 / eta)[:, None, None] * np.eye(g.s), views, place)
         ss = g.s * g.s
         for b in range(g.B):
             Gb = g.G[b * ss:(b + 1) * ss]
@@ -321,10 +322,10 @@ def random_scaling(rng, g):
 
 def assembled_schur(g, W, ba, place):
     """Group g's part of the Schur matrix from `add_schur`, as one m x m matrix."""
-    buf = np.zeros(ba.offsets[-1])
-    g.add_schur(W, buf, place)
+    views = ba.views(np.zeros(ba.offsets[-1]))
+    g.add_schur(W, views, place)
     got = np.zeros((ba.m, ba.m))
-    for vs, Mk in zip(ba.vars, ba.views(buf)):
+    for vs, Mk in zip(ba.vars, views):
         got[np.ix_(vs, vs)] = Mk
     return got
 
@@ -475,6 +476,28 @@ class TestBlockAngularNewton:
                 err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12, (prob.name, method, k, g.s, err)
 
+    @pytest.mark.parametrize("prob, method, k, whole", [
+        (gen_reznick_sparse_chain(5, 2), "cs", 6, True),
+        (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3, True),
+        # one merged component of 164 that no block covers
+        (gen_unit_ball_mix(), "signsym", 3, False),
+    ], ids=["reznick-sparse-cs", "rand-srfo-dense", "unit-ball-mix-signsym"])
+    def test_block_places(self, prob, method, k, whole):
+        # a block covering its component adds into the whole view, any
+        # other through an open mesh of 2 n_b local numbers: nothing of
+        # order n_b^2 is kept per block
+        groups, ba = schur_structure(to_standard_form(build(prob, method, k)))
+        for g, place in zip(groups, ba.place):
+            for vs, (kb, idx) in zip(g.vars_list, place):
+                assert set(vs) <= set(ba.vars[kb])
+                if whole:
+                    assert idx == slice(None)
+                    continue
+                rows, cols = idx
+                assert rows.shape == (len(vs), 1) and cols.shape == (1, len(vs))
+                assert np.array_equal(ba.vars[kb][rows.ravel()], vs)
+                assert rows.size + cols.size <= 2 * len(vs)
+
     def test_schur_assembly_benchmark(self, benchmark):
         # times add_schur on one group of three 49x49 blocks
         # (`pytest --benchmark-only -k schur`); asserts nothing about time
@@ -487,6 +510,19 @@ class TestBlockAngularNewton:
         ref = schur_reference(g, W)
         assert g.s == 49
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_solve_upper_matches_scipy(self, order, trans):
+        # the direct trtrs call keeps solve_triangular's bits, which depend
+        # on R's memory order as well as on the system
+        rng = seeded_rng(3)
+        R = np.array(np.triu(rng.normal(size=(40, 40))) + 8 * np.eye(40), order=order)
+        b = rng.normal(size=40)
+        got = sdp._solve_upper(R, b, trans=trans)
+        assert np.array_equal(got, sla.solve_triangular(R, b, trans=trans))
+        with pytest.raises(ValueError):
+            sdp._solve_upper(R, np.full(40, np.nan), trans=trans)
 
     def test_one_component_gives_dense_iterates(self, monkeypatch):
         sf = to_standard_form(build(gen_overlap_chain(8, 1), "epigraph", 3))
