@@ -78,6 +78,7 @@ def _result_payload(prob, res):
         "status": res.report.status,
         "iterations": res.report.iterations,
         "schur_blocks": list(res.report.schur_blocks),
+        "krylov_applies": res.report.krylov_applies,
         "block_size_histogram": hist,
         "certified": bool(res.certified),
         "time_ms": {

@@ -116,6 +116,8 @@ class SolveReport:
     y: np.ndarray | None = None
     # orders of the separately factored blocks of the Schur matrix
     schur_blocks: tuple = ()
+    # extended-precision applications of the Schur operator (`_Scaling.apply`)
+    krylov_applies: int = 0
 
     def ok(self):
         return self.status in ("optimal", "near_optimal")
@@ -267,17 +269,11 @@ class _BlockAngular:
     Intra rows are eliminated per component: a pivoted QR of E_k' gives
     E_k'[:, piv] = Q_k [R_k R_k'']; Q_I and R_I hold the Q_k and R_k of all
     components (block-diagonal) and P_I = I - Q_I Q_I' projects onto
-    null(E_intra).  Linking rows get a range-space correction: U is an
-    orthonormal basis of P_I E_L' from a second pivoted QR, so null(E) is
-    null(E_intra) orthogonal to U, P = P_I - U U' projects onto it, and
-    [Q_I U] spans the row space of E.  Dependent rows get a zero
-    multiplier.
-
-    A problem with at least as many linking rows as components is treated
-    as one component.  The correction works through U' M~^-1 U, whose
-    rounding grows with the number of linking rows: split, most of the
-    unit-ball-mix relaxations (20 to 80 linking rows over 3 measures) end
-    short of the tolerance; merged, they reach it.
+    null(E_intra).  For the linking rows U is an orthonormal basis of
+    P_I E_L' from a second pivoted QR, so null(E) is null(E_intra)
+    orthogonal to U, P = P_I - U U' projects onto it, and [Q_I U] spans
+    the row space of E; `_BlockAngularFactor` removes U by a projection in
+    the Cholesky-scaled space.  Dependent rows get a zero multiplier.
     """
 
     def __init__(self, m, groups, E):
@@ -297,10 +293,6 @@ class _BlockAngular:
         np.maximum.at(hi, entry_row, lab[E.indices])
         home, linking = np.minimum(lo, m - 1), lo != hi
         labels = np.unique(lab)
-        if linking.sum() >= len(labels):
-            lab[:] = home[:] = 0
-            linking[:] = False
-            labels = np.zeros(1, dtype=np.int64)
         order = np.argsort(lab, kind="stable")
         counts = np.bincount(np.searchsorted(labels, lab), minlength=len(labels))
         by_label = np.split(order, np.cumsum(counts)[:-1])
@@ -459,28 +451,32 @@ def _pivoted_qr(At):
 
 
 def _cholesky(A, scale):
-    """(upper Cholesky factor, shift) of A + shift I, climbing the ladder.
+    """(upper Cholesky factor, rho) of A + rho D, climbing the ladder.
 
-    The shift is zero unless rounding makes A numerically indefinite (late
+    D is diag(|A_ii|), with `scale` standing in for a zero entry, so that
+    each rung shifts every diagonal entry by the same relative amount.
+    rho is zero unless rounding makes A numerically indefinite (late
     iterations, where M spans more than 1/eps); it is then the smallest
     rung that lets Cholesky through, and the factor is only a
     preconditioner for the Krylov solve in `_Scaling.solve`.
     """
-    shift = 0.0
+    weights = np.abs(np.diag(A))
+    weights[weights == 0.0] = scale
+    rho = 0.0
     while True:
         shifted = A
-        if shift:
+        if rho:
             # one Fortran copy, shifted and factored in place
             shifted = np.array(A, order="F")
-            shifted[np.diag_indices_from(shifted)] += shift
+            shifted[np.diag_indices_from(shifted)] += rho * weights
         with np.errstate(all="ignore"):
-            cho, info = _potrf(shifted, lower=0, clean=0, overwrite_a=bool(shift))
+            cho, info = _potrf(shifted, lower=0, clean=0, overwrite_a=bool(rho))
         if info == 0 and np.isfinite(np.diag(cho)).all():
-            return cho, shift
+            return cho, rho
         # drop the failed factor before the next rung is allocated
         cho = shifted = None
-        shift = 1e-14 * scale if not shift else 100.0 * shift
-        if shift > 1e-4 * scale:
+        rho = 1e-14 if not rho else 100.0 * rho
+        if rho > 1e-4:
             raise np.linalg.LinAlgError("Schur matrix not positive definite")
 
 
@@ -489,12 +485,14 @@ class _BlockAngularFactor:
 
     Each component matrix is restricted to the null space of its intra
     rows, P_k M_k P_k + g_k Q_k Q_k', which is positive definite whenever
-    M_k is on that space, and Cholesky-factored; call M~ the block-diagonal
-    result.  The linking rows are taken care of by the range-space
-    correction: with Y = M~^-1 U, the inverse of P M P on null(E) is
-    w -> z - Y (U'Y)^-1 U'z with z = M~^-1 w, and U'Y gets its own small
-    Cholesky factor.  With one component and no linking rows this is one
-    dense factorization of the whole matrix.
+    M_k is on that space, and Cholesky-factored; call M~ = R'R the
+    block-diagonal result.  The linking rows are removed by an orthogonal
+    projection in the Cholesky-scaled space: with Qh an orthonormal basis
+    of R^-T U (Householder QR), the inverse of P M P on null(E) is
+    w -> R^-1 (I - Qh Qh') R^-T w.  Unlike a correction through the Gram
+    matrix U' M~^-1 U, this does not square the conditioning of R^-T U.
+    With one component and no linking rows this is one dense
+    factorization of the whole matrix.
 
     `buf` holds the component matrices (`_BlockAngular.views`).  Equal-size
     components are stacked and handled by batched products; only syr2k,
@@ -531,24 +529,20 @@ class _BlockAngularFactor:
         scales = np.array([np.abs(np.diag(Mk)).max() for Mk in Mt])
         scales[scales == 0.0] = 1.0
         self.diag_max = float(scales.max())
-        factors = [_cholesky(Mk, scale) for Mk, scale in zip(Mt, scales)]
-        self.cho = [cho for cho, _ in factors]
-        shifts = [shift for _, shift in factors]
-        if ba.r_L:
-            self.Y = self._block_solve(ba.U)
-            UY = ba.U.T @ self.Y
-            self.UY, shift = _cholesky(UY, float(np.abs(np.diag(UY)).max()) or 1.0)
-            shifts.append(shift)
+        self.cho, shifts = zip(*map(_cholesky, Mt, scales))
         self.shift = max(shifts)
+        if ba.r_L:
+            self.Qh = np.linalg.qr(self._block_solve(ba.U, trans=1))[0]
         self.project = ba.project
         self.multipliers = ba.multipliers
 
-    def _block_solve(self, w):
-        """M~^-1 w, component by component (w a vector or a column stack)."""
+    def _block_solve(self, w, trans=None):
+        """M~^-1 w, R^-T w (trans=1) or R^-1 w (trans=0), per component."""
         x = np.empty_like(w)
         with np.errstate(all="ignore"):
             for vs, cho in zip(self.ba.vars, self.cho):
-                x[vs] = _potrs(cho, w[vs], lower=0)[0]
+                x[vs] = (_potrs(cho, w[vs], lower=0)[0] if trans is None
+                         else _solve_upper(cho, w[vs], trans=trans))
         return x
 
     def matvec(self, v):
@@ -559,11 +553,11 @@ class _BlockAngularFactor:
 
     def precond(self, w):
         """Inverse of P M P on null(E) applied to w in null(E)."""
-        x = self._block_solve(w)
-        if self.ba.r_L:
-            with np.errstate(all="ignore"):
-                x -= self.Y @ _potrs(self.UY, self.ba.U.T @ x, lower=0)[0]
-        return self.project(x)
+        if not self.ba.r_L:
+            return self.project(self._block_solve(w))
+        z = self._block_solve(w, trans=1)
+        z -= self.Qh @ (self.Qh.T @ z)
+        return self.project(self._block_solve(z, trans=0))
 
     def solve(self, rhs1, r_e):
         """(dy, dnu, res): M dy - E' dnu = rhs1 and E dy = r_e, approximately.
@@ -575,9 +569,9 @@ class _BlockAngularFactor:
         dy += self.precond(self.project(rhs1 - self.matvec(dy)))
         v = self.matvec(dy) - rhs1
         # Cholesky on null(E_intra) is backward stable, so the rounding
-        # bound of `_Scaling.solve` covers it; the linking-row correction is
-        # not (z and Y c can both be far larger than dy), so its residual
-        # is measured
+        # bound of `_Scaling.solve` covers it; with linking rows the
+        # triangular solves around the projection can leave a residual far
+        # above that bound late in a solve, so it is measured
         res = float(np.linalg.norm(self.project(v))) if self.ba.r_L else 0.0
         return dy, self.multipliers(v), res
 
@@ -658,6 +652,8 @@ class _Form:
         )
         self.obj_scale = 1.0 + float(np.abs(self.c).max())
         self.ba = _BlockAngular(m, self.groups, self.E)
+        # extended-precision Schur operator applications, over the solve
+        self.applies = 0
 
     def start(self):
         """The infeasible start: identity-like X and S that dominate the data."""
@@ -714,8 +710,8 @@ class _Iterate:
         dy, dnu, dS, dX = direction[:4]
         return _Iterate(
             self.form, self.y + ap * dy, self.nu + ad * dnu,
-            [_sym(X + ad * dXg) for X, dXg in zip(self.X, dX)],
-            [_sym(S + ap * dSg) for S, dSg in zip(self.S, dS)],
+            [X + ad * dXg for X, dXg in zip(self.X, dX)],
+            [S + ap * dSg for S, dSg in zip(self.S, dS)],
         )
 
 
@@ -838,6 +834,7 @@ class _Scaling:
 
     def apply(self, v):
         """M v for a longdouble v; the double G and W widen exactly."""
+        self.it.form.applies += 1
         out = np.zeros(len(v), dtype=_XP)
         for g, W in zip(self.groups, self.W):
             out += g.adjoint(_matmul(_matmul(W, g.lmi_step(v)), W))
@@ -1036,6 +1033,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200):
         dinf=best.dinf,
         y=best.y,
         schur_blocks=tuple(int(n) for n in form.ba.sizes),
+        krylov_applies=form.applies,
     )
 
 

@@ -50,8 +50,9 @@ class TestSolve:
         assert payload["status"] == "optimal"
         assert 0.0 <= payload["pinf"] <= 1e-8
         assert 0.0 <= payload["dinf"] <= 1e-8
-        # three measures tied by 20 linking rows are factored as one block
-        assert payload["schur_blocks"] == [105]
+        # three measures tied by 20 linking rows, each factored on its own
+        assert payload["schur_blocks"] == [35, 35, 35]
+        assert payload["krylov_applies"] > 0
 
     def test_unusable_solve_writes_strict_json(self, capsys, trivial_file,
                                                monkeypatch):

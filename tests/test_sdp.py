@@ -409,8 +409,8 @@ class TestBlockAngularNewton:
         (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3, [210] * 6, True),
         (gen_reznick_sparse_chain(5, 2), "cs", 6, [169] * 5, False),
         (gen_overlap_chain(8, 1), "epigraph", 3, [324], False),
-        # 80 linking rows across 3 measures: merged into one component
-        (gen_unit_ball_mix(), "signsym", 4, [315], False),
+        # 80 linking rows across 3 measures, each measure its own component
+        (gen_unit_ball_mix(), "signsym", 4, [55, 95, 165], True),
     ], ids=["rand-srfo-dense", "reznick-sparse-cs", "overlap-epigraph",
             "unit-ball-mix-signsym"])
     def test_components_and_merge(self, prob, method, k, sizes, linking):
@@ -426,7 +426,12 @@ class TestBlockAngularNewton:
     @pytest.mark.parametrize("prob, method, k", [
         (gen_reznick_chain(6, 2), "signsym", 6),
         (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3),
-    ], ids=["reznick-chain-signsym", "rand-srfo-dense"])
+        # 80 linking rows over 3 components
+        (gen_unit_ball_mix(), "signsym", 4),
+        # 28 linking rows over 8 components
+        (gen_overlap_chain(8, 1), "cs", 3),
+    ], ids=["reznick-chain-signsym", "rand-srfo-dense", "unit-ball-mix-signsym",
+            "overlap-chain-cs"])
     def test_direction_matches_bordered_solve(self, prob, method, k):
         sf = to_standard_form(build(prob, method, k))
         ba, buf, M = first_iterate_schur(sf)
@@ -442,9 +447,10 @@ class TestBlockAngularNewton:
         assert np.linalg.norm(dnu - ref[m:]) <= 1e-9 * np.linalg.norm(ref[m:])
 
     def test_linking_rows_solve_reaches_tolerance(self):
-        # six measures tied by five linking rows: the range-space
-        # correction is not backward stable, and without checking its
-        # residual the solve stalls near_optimal with a growing dual residual
+        # six measures tied by five linking rows: the rounding bound of a
+        # Cholesky solve does not cover the triangular solves around the
+        # linking-row projection, and without checking their residual the
+        # solve stalls near_optimal with a growing dual residual
         sf = to_standard_form(build(gen_rand_srfo(6, 4, 3, 0.2, 1), "signsym", 3))
         rep = solve_internal(sf, tol=1e-8)
         facts = (rep.status, rep.gap, rep.pinf, rep.dinf, rep.iterations)
@@ -476,27 +482,86 @@ class TestBlockAngularNewton:
                 err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12, (prob.name, method, k, g.s, err)
 
-    @pytest.mark.parametrize("prob, method, k, whole", [
-        (gen_reznick_sparse_chain(5, 2), "cs", 6, True),
-        (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3, True),
-        # one merged component of 164 that no block covers
-        (gen_unit_ball_mix(), "signsym", 3, False),
+    @pytest.mark.parametrize("prob, method, k, kinds", [
+        (gen_reznick_sparse_chain(5, 2), "cs", 6, {"whole"}),
+        (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3, {"whole"}),
+        # three components of 30, 50 and 84, each covered by its moment
+        # blocks and in part by its localizing blocks
+        (gen_unit_ball_mix(), "signsym", 3, {"whole", "mesh"}),
     ], ids=["reznick-sparse-cs", "rand-srfo-dense", "unit-ball-mix-signsym"])
-    def test_block_places(self, prob, method, k, whole):
+    def test_block_places(self, prob, method, k, kinds):
         # a block covering its component adds into the whole view, any
         # other through an open mesh of 2 n_b local numbers: nothing of
         # order n_b^2 is kept per block
         groups, ba = schur_structure(to_standard_form(build(prob, method, k)))
+        seen = set()
         for g, place in zip(groups, ba.place):
             for vs, (kb, idx) in zip(g.vars_list, place):
                 assert set(vs) <= set(ba.vars[kb])
-                if whole:
-                    assert idx == slice(None)
+                if idx == slice(None):
+                    seen.add("whole")
+                    assert np.array_equal(ba.vars[kb], vs)
                     continue
+                seen.add("mesh")
                 rows, cols = idx
                 assert rows.shape == (len(vs), 1) and cols.shape == (1, len(vs))
                 assert np.array_equal(ba.vars[kb][rows.ravel()], vs)
                 assert rows.size + cols.size <= 2 * len(vs)
+        assert seen == kinds
+
+    def test_linking_rows_keep_components_apart(self):
+        # 34 equality rows, 28 of them linking, over six measures: each
+        # measure is still factored on its own
+        sf = to_standard_form(build(gen_rand_srfo(6, 4, 3, 0.2, 7003), "dense", 3))
+        rep = solve_internal(sf)
+        assert rep.schur_blocks == (210,) * 6
+        assert rep.status == "optimal", (rep.gap, rep.pinf, rep.dinf)
+
+    def test_krylov_applies_counted(self, monkeypatch):
+        calls = []
+        apply = sdp._Scaling.apply
+
+        def spy(self, v):
+            calls.append(len(v))
+            return apply(self, v)
+
+        monkeypatch.setattr(sdp._Scaling, "apply", spy)
+        rep = solve_internal(to_standard_form(build(gen_unit_ball_mix(), "dense", 2)))
+        assert rep.krylov_applies == len(calls) > 0
+
+    def test_cholesky_shift_is_relative_per_entry(self, monkeypatch):
+        # a numerically indefinite matrix whose diagonal spans 12 decades,
+        # plus a zero row: each rung adds rho |A_ii| to every diagonal entry
+        # (rho scale to the zero one), so one shift sized to the largest
+        # entry does not swamp the small ones
+        rng = seeded_rng(4)
+        Z = rng.normal(size=(30, 29))
+        C = Z @ Z.T
+        C /= np.sqrt(np.outer(np.diag(C), np.diag(C)))
+        C -= 1e-9 * np.eye(30)
+        D = np.logspace(-6, 6, 30)
+        A = np.zeros((31, 31), order="F")
+        A[:30, :30] = D[:, None] * C * D[None, :]
+        weights = np.r_[np.abs(np.diag(A))[:30], 7.0]
+        calls = []
+
+        def spy(a, **kwargs):
+            calls.append(np.diag(a).copy())
+            return potrf(a, **kwargs)
+
+        potrf = sdp._potrf
+        monkeypatch.setattr(sdp, "_potrf", spy)
+        cho, rho = sdp._cholesky(A, 7.0)
+        assert rho == pytest.approx(1e-8)
+        assert np.array_equal(calls[0], np.diag(A))
+        for j, diag in enumerate(calls[1:]):
+            # the first rungs sit at 1e-14 relative, near the rounding of A_ii
+            assert np.allclose((diag - np.diag(A)) / weights, 1e-14 * 100.0 ** j,
+                               rtol=2e-2, atol=0.0)
+        assert len(calls) == 5
+        shifted = A + rho * np.diag(weights)
+        R = np.triu(cho)
+        assert np.linalg.norm(R.T @ R - shifted) <= 1e-12 * np.linalg.norm(shifted)
 
     def test_schur_assembly_benchmark(self, benchmark):
         # times add_schur on one group of three 49x49 blocks
