@@ -10,7 +10,7 @@ indexing.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, neg
 
 import numpy as np
 
@@ -28,7 +28,7 @@ def mono_mul(a, b):
 
 def grlex_key(mono):
     """Sort key realizing graded lexicographic order (x1 > x2 > ...)."""
-    return (sum(mono), tuple(-e for e in mono))
+    return (sum(mono), tuple(map(neg, mono)))
 
 
 class Polynomial:
@@ -71,13 +71,28 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: value})
+        return cls._term(nvars, (0,) * nvars, value)
 
     @classmethod
     def variable(cls, nvars, index, power=1, coef=1.0):
+        power = int(power)
         expo = [0] * nvars
         expo[index] = power
-        return cls(nvars, {tuple(expo): coef})
+        if power < 0:
+            raise ValueError(f"negative exponent in {tuple(expo)}")
+        if power > MAX_EXPONENT:
+            raise ValueError(f"degree overflow in {tuple(expo)}")
+        return cls._term(nvars, tuple(expo), coef)
+
+    @classmethod
+    def _term(cls, nvars, mono, coef):
+        """coef * x^mono for a mono known to be valid: the constructor's
+        result without its per-exponent checks, zero for a zero coef."""
+        res = cls(nvars)
+        coef = float(coef)
+        if coef != 0.0:
+            res.terms = {mono: coef}
+        return res
 
     # -- structure ---------------------------------------------------------
 
@@ -148,21 +163,24 @@ class Polynomial:
             return res
         self._check(other)
         # Contributions to each output monomial are summed in an order
-        # symmetric in the operands, so f*g == g*f holds exactly.
+        # symmetric in the operands, so f*g == g*f holds exactly.  A
+        # monomial with one contribution (every one, when a factor has one
+        # term) takes it as it is, which is what that sum gives.
         bucket = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = mono_mul(ma, mb)
-                pair = (ma, mb) if ma <= mb else (mb, ma)
-                bucket.setdefault(mono, []).append((pair, ca * cb))
+                bucket.setdefault(mono_mul(ma, mb), []).append((ma, mb, ca * cb))
         out = {}
         for mono, parts in bucket.items():
             if sum(mono) > MAX_EXPONENT:
                 raise ValueError("degree overflow in product")
-            parts.sort()
-            s = 0.0
-            for _, val in parts:
-                s += val
+            if len(parts) == 1:
+                s = parts[0][2]
+            else:
+                s = 0.0
+                for _, val in sorted(((ma, mb) if ma <= mb else (mb, ma), val)
+                                     for ma, mb, val in parts):
+                    s += val
             if s != 0.0:
                 out[mono] = s
         res = Polynomial(self.nvars)
@@ -174,8 +192,12 @@ class Polynomial:
     def __pow__(self, exponent):
         if exponent < 0:
             raise ValueError("negative power")
-        out = Polynomial.constant(self.nvars, 1.0)
-        for _ in range(exponent):
+        if exponent == 0:
+            return Polynomial.constant(self.nvars, 1.0)
+        # 1 * self is self exactly, so the product starts from self
+        out = Polynomial(self.nvars)
+        out.terms = dict(self.terms)
+        for _ in range(exponent - 1):
             out = out * self
         return out
 

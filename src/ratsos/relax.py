@@ -377,14 +377,18 @@ def _emit_localizing(rsdp, mi, plan, terms, sub, name, kind):
         if plan.group is not None
         else (tuple(range(len(sub))),)
     )
+    # a zero alpha (the moment matrix's one term) shifts nothing
+    terms = [(alpha if any(alpha) else None, ca) for alpha, ca in terms]
+    reducer = plan.reducer
     for ci, cls in enumerate(classes):
         rows, cols, vids, coefs = [], [], [], []
-        for a in range(len(cls)):
-            beta = sub[cls[a]]
-            for b in range(a, len(cls)):
-                base = mono_mul(beta, sub[cls[b]])
+        monos = [sub[i] for i in cls]
+        for a, beta in enumerate(monos):
+            for b in range(a, len(monos)):
+                base = mono_mul(beta, monos[b])
                 for alpha, ca in terms:
-                    for m2, c2 in _expand(plan.reducer, mono_mul(alpha, base)):
+                    mono = base if alpha is None else mono_mul(alpha, base)
+                    for m2, c2 in _expand(reducer, mono):
                         rows.append(a)
                         cols.append(b)
                         vids.append(index[m2])

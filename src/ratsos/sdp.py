@@ -33,6 +33,8 @@ import scipy.linalg as sla
 from scipy.linalg.blas import dsyr2k as _syr2k
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs, dtrtrs as _trtrs
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 
 from .errors import ProblemTooLargeError, SolveError
 
@@ -169,18 +171,49 @@ def _mirrored(r, c, *fields):
             *(np.concatenate((f, f[off])) for f in fields))
 
 
-def _block_csr(rows, cols, vals, row_off, col_off):
-    """Each diagonal block k of a block-diagonal matrix, rows row_off[k]:
-    row_off[k+1] and columns col_off[k]:col_off[k+1], as CSR; repeated
-    entries stay apart and add up in products."""
+class _Csr:
+    """A CSR matrix as bare arrays, multiplied by the kernels scipy's `@` runs.
+
+    `A @ x` calls `csr_matvec` (x a vector or one column) or `csr_matvecs`
+    on the same arrays, operands and zeroed output as scipy's own `@`, so
+    its bits are the same; what it skips is scipy's per-call dispatch and
+    checks.  Repeated entries stay apart and add up in products.  `indptr`
+    need not start at 0: the blocks of one size group are `_Csr`s over
+    slices of one group-level indptr, sharing its indices and data.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(self, indptr, indices, data, ncols):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = (len(indptr) - 1, ncols)
+
+    @classmethod
+    def of(cls, A):
+        """The arrays of a scipy CSR matrix, as they are."""
+        return cls(A.indptr, A.indices, A.data, A.shape[1])
+
+    def __matmul__(self, x):
+        rows, cols = self.shape
+        dtype = np.promote_types(self.data.dtype, x.dtype)
+        out = np.zeros((rows, *x.shape[1:]), dtype)
+        if x.ndim == 1 or x.shape[1] == 1:
+            _csr_matvec(rows, cols, self.indptr, self.indices, self.data,
+                        x.ravel(), out.ravel())
+        else:
+            _csr_matvecs(rows, cols, x.shape[1], self.indptr, self.indices,
+                         self.data, x.ravel(), out.ravel())
+        return out
+
+
+def _csr_arrays(rows, cols, vals, nrows):
+    """(indptr, indices, data) of the CSR matrix with the given entries,
+    indexed by int32 where that holds them, as scipy stores them."""
+    index = np.int32 if len(rows) < 2 ** 31 else np.int64
     order = np.argsort(rows, kind="stable")
-    cols, vals = cols[order], vals[order]
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=row_off[-1]))))
-    return [
-        sp.csr_matrix((vals[ptr[r0]:ptr[r1]], cols[ptr[r0]:ptr[r1]] - c0,
-                       ptr[r0:r1 + 1] - ptr[r0]), shape=(r1 - r0, c1 - c0))
-        for r0, r1, c0, c1 in zip(row_off, row_off[1:], col_off, col_off[1:])
-    ]
+    counts = np.bincount(rows, minlength=nrows)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(index)
+    return indptr, cols[order].astype(index), vals[order]
 
 
 class _SizeGroup:
@@ -196,7 +229,9 @@ class _SizeGroup:
     F_l[i, k], so that FW[b] @ W stacks every F_l W.  The triangle gather
     Fh[b] has entry (l, e) equal to F_l at the block's e-th stored
     position tri[b] (i <= j), doubled off the diagonal, so that
-    Fh[b] @ T[i_e, :, j_e] is <F_l', T_l> for symmetric T_l.
+    Fh[b] @ T[i_e, :, j_e] is <F_l', T_l> for symmetric T_l.  Each of FW
+    and Fh is one set of CSR arrays for the whole group, over local column
+    numbers; FW[b] and Fh[b] are `_Csr`s over slices of its row pointer.
     """
 
     def __init__(self, size, blocks, m):
@@ -215,18 +250,25 @@ class _SizeGroup:
         self.vars_list = np.split(uniq % m, n_off[1:-1])
         local -= n_off[b]
         fi, fk, fb, fv, fl, fa = _mirrored(r, c, b, v, local, a)
-        self.G = sp.csr_matrix((fa, (fb * ss + fi * s + fk, fv)), shape=(B * ss, m))
-        self.GT = self.G.T.tocsr()
-        self.FW = _block_csr(s * n_off[fb] + fi * n[fb] + fl, fb * s + fk, fa,
-                             s * n_off, s * np.arange(B + 1))
+        G = sp.csr_matrix((fa, (fb * ss + fi * s + fk, fv)), shape=(B * ss, m))
+        self.G, self.GT = _Csr.of(G), _Csr.of(G.T.tocsr())
+        ptr, idx, val = _csr_arrays(s * n_off[fb] + fi * n[fb] + fl, fk, fa,
+                                    s * n_off[-1])
+        self.FW = [_Csr(ptr[s * n0:s * n1 + 1], idx, val, s)
+                   for n0, n1 in zip(n_off, n_off[1:])]
         pos, col = np.unique((b * s + r) * s + c, return_inverse=True)
         p_off = np.searchsorted(pos // ss, np.arange(B + 1))
-        self.Fh = _block_csr(n_off[b] + local, col, np.where(r == c, 1.0, 2.0) * a,
-                             n_off, p_off)
+        ptr, idx, val = _csr_arrays(n_off[b] + local, col - p_off[b],
+                                    np.where(r == c, 1.0, 2.0) * a, n_off[-1])
+        self.Fh = [_Csr(ptr[n0:n1 + 1], idx, val, p1 - p0)
+                   for n0, n1, p0, p1 in zip(n_off, n_off[1:], p_off, p_off[1:])]
         self.tri = [(pos[p0:p1] // s % s, pos[p0:p1] % s)
                     for p0, p1 in zip(p_off, p_off[1:])]
-        # T of the largest block, reused by every block and iteration
-        self.work = np.empty(s * s * n.max())
+        # each block's T, as (s, n_b*s) and as (s, n_b, s): views of one
+        # buffer for the largest block, reused by every block and iteration
+        work = np.empty(s * s * n.max())
+        self.T = [(work[:s * s * nb].reshape(s, -1), work[:s * s * nb].reshape(s, nb, s))
+                  for nb in n]
 
     def lmi_step(self, dy):
         return (self.G @ dy).reshape(self.B, self.s, self.s)
@@ -248,13 +290,13 @@ class _SizeGroup:
         `views[k]` (`_BlockAngular.place`).
         """
         s = self.s
-        for Wb, FW, Fh, (i, j), kb in zip(W, self.FW, self.Fh, self.tri, place):
+        for Wb, FW, Fh, (T, T3), (i, j), kb in zip(W, self.FW, self.Fh, self.T,
+                                                   self.tri, place):
             if kb is None:
                 continue
-            T = self.work[:FW.shape[0] * s].reshape(s, -1)
             np.matmul(Wb, (FW @ Wb).reshape(s, -1), out=T)
             k, idx = kb
-            views[k][idx] += Fh @ T.reshape(s, -1, s)[i, :, j]
+            views[k][idx] += Fh @ T3[i, :, j]
 
 
 class _BlockAngular:
@@ -280,12 +322,22 @@ class _BlockAngular:
         """E: the equality rows as CSR, 0 rows when there are none."""
         self.m = m
         self.nf = E.shape[0]
-        # union by relabelling: each label is the smallest variable of its set
+        # each variable's label is the smallest variable of its component:
+        # every block lowers its variables' labels to the least among them,
+        # and each label to its own label, until nothing changes
+        vars_lists = [vs for g in groups for vs in g.vars_list]
+        var = np.concatenate(vars_lists)
+        block = np.repeat(np.arange(len(vars_lists)), [len(vs) for vs in vars_lists])
         lab = np.arange(m)
-        for vs in (vs for g in groups for vs in g.vars_list):
-            roots = np.unique(lab[vs])
-            if len(roots) > 1:
-                lab[np.isin(lab, roots)] = roots[0]
+        while True:
+            low = np.full(len(vars_lists), m)
+            np.minimum.at(low, block, lab[var])
+            new = lab.copy()
+            np.minimum.at(new, var, low[block])
+            new = new[new]
+            if np.array_equal(new, lab):
+                break
+            lab = new
         entry_row = np.repeat(np.arange(self.nf), np.diff(E.indptr))
         lo = np.full(self.nf, m)
         hi = np.full(self.nf, -1)
@@ -371,6 +423,13 @@ class _BlockAngular:
                 self.r_L = U.shape[1]
                 self.piv_L = link[pk]
                 self.E_L = Et[:, self.piv_L].T
+        # (Q, Q') of the intra ("I") and linking ("L") rows' bases
+        self.bases = {}
+        if self.r_I:
+            self.bases["I"] = (self.Q_I, self.Q_I.T)
+        if self.r_L:
+            self.bases["L"] = (self.U, self.U.T)
+        self.bases_xp = None
 
     def _place(self, comp_of, vs):
         k = int(comp_of[vs[0]])
@@ -386,12 +445,27 @@ class _BlockAngular:
             for k, n in enumerate(self.sizes)
         ]
 
+    def _bases(self, v):
+        """`bases` for products with v.
+
+        A longdouble v takes extended-precision C-ordered copies, made at
+        the first such call of the solve: numpy would cast a whole basis at
+        every product, and `_matmul` adds the same rounded products in the
+        same order either way.
+        """
+        if v.dtype != _XP:
+            return self.bases
+        if self.bases_xp is None:
+            self.bases_xp = {
+                kind: tuple(np.ascontiguousarray(M, dtype=_XP) for M in QQt)
+                for kind, QQt in self.bases.items()
+            }
+        return self.bases_xp
+
     def project(self, v):
         """Component of v in null(E)."""
-        if self.r_I:
-            v = v - self.Q_I @ (self.Q_I.T @ v)
-        if self.r_L:
-            v = v - self.U @ (self.U.T @ v)
+        for Q, Qt in self._bases(v).values():
+            v = v - _matmul(Q, _matmul(Qt, v))
         return v
 
     def particular(self, r_e):
@@ -409,16 +483,23 @@ class _BlockAngular:
     def multipliers(self, v):
         """dnu with E' dnu = (Q_I Q_I' + U U') v; dependent rows get zero."""
         dnu = np.zeros(self.nf)
+        bases = self._bases(v)
         if self.r_L:
             dnu[self.piv_L] = _solve_upper(
-                self.R_L, np.asarray(self.U.T @ v, dtype=float)
+                self.R_L, np.asarray(_matmul(bases["L"][1], v), dtype=float)
             )
             v = v - self.E_L.T @ dnu[self.piv_L]
         if self.r_I:
             dnu[self.piv_I] = _solve_upper(
-                self.R_I, np.asarray(self.Q_I.T @ v, dtype=float)
+                self.R_I, np.asarray(_matmul(bases["I"][1], v), dtype=float)
             )
         return dnu
+
+
+def _check_finite(b):
+    """scipy's finiteness check on a right-hand side."""
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
 
 
 def _solve_upper(R, b, trans=0):
@@ -429,8 +510,12 @@ def _solve_upper(R, b, trans=0):
     goes in as the lower triangular R' with the transpose flag flipped.
     That rule, and not only the system solved, fixes the bits of x.
     """
-    if not np.isfinite(b).all():
-        raise ValueError("right-hand side must not contain infs or NaNs")
+    _check_finite(b)
+    return _trtrs_upper(R, b, trans)
+
+
+def _trtrs_upper(R, b, trans):
+    """`_solve_upper` for a b already checked."""
     if R.flags.f_contiguous:
         x, info = _trtrs(R, b, lower=0, trans=trans)
     else:
@@ -510,13 +595,13 @@ class _BlockAngularFactor:
             lo, hi = ba.offsets[k0], ba.offsets[k1]
             Ms = buf[lo:hi].reshape(-1, n, n)
             self.stacks.append(Ms)
-            tbuf[lo:hi].reshape(-1, n, n)[...] = np.transpose(Ms, (0, 2, 1))
+            tbuf[lo:hi].reshape(-1, n, n)[...] = Ms.transpose(0, 2, 1)
             if Qs is not None:
                 # P M P + g Q Q' = M + Q B' + B Q' with B = Q K / 2 - M Q,
                 # K = Q' M Q + g I and g the mean of diag(M); Cholesky reads
                 # the upper triangle only
                 MQ = Ms @ Qs
-                K = np.transpose(Qs, (0, 2, 1)) @ MQ
+                K = Qs.transpose(0, 2, 1) @ MQ
                 diag = np.diagonal(Ms, axis1=1, axis2=2)
                 r = np.arange(K.shape[-1])
                 K[:, r, r] += (np.add.reduce(diag, axis=1) / n)[:, None]
@@ -538,11 +623,13 @@ class _BlockAngularFactor:
 
     def _block_solve(self, w, trans=None):
         """M~^-1 w, R^-T w (trans=1) or R^-1 w (trans=0), per component."""
+        if trans is not None:
+            _check_finite(w)
         x = np.empty_like(w)
         with np.errstate(all="ignore"):
             for vs, cho in zip(self.ba.vars, self.cho):
                 x[vs] = (_potrs(cho, w[vs], lower=0)[0] if trans is None
-                         else _solve_upper(cho, w[vs], trans=trans))
+                         else _trtrs_upper(cho, w[vs], trans))
         return x
 
     def matvec(self, v):
@@ -591,10 +678,10 @@ def _nt_factor_stack(X, S):
     """Batched NT scaling: R R' = W with W S W = X, lam the scaled spectrum."""
     Lx = np.linalg.cholesky(X)
     Ls = np.linalg.cholesky(S)
-    _, lam, Vt = np.linalg.svd(np.transpose(Ls, (0, 2, 1)) @ Lx)
+    _, lam, Vt = np.linalg.svd(Ls.transpose(0, 2, 1) @ Lx)
     lam = np.maximum(lam, 1e-300)
-    R = (Lx @ np.transpose(Vt, (0, 2, 1))) / np.sqrt(lam)[:, None, :]
-    W = R @ np.transpose(R, (0, 2, 1))
+    R = (Lx @ Vt.transpose(0, 2, 1)) / np.sqrt(lam)[:, None, :]
+    W = R @ R.transpose(0, 2, 1)
     return R, lam, W
 
 
@@ -604,15 +691,18 @@ def _min_steps(lam, Ds, Dx):
     root = np.sqrt(np.concatenate((lam, lam)))
     scaled = np.concatenate((Ds, Dx)) / root[:, :, None] / root[:, None, :]
     emin = np.linalg.eigvalsh(_sym(scaled))[:, 0].reshape(2, -1)
-    return tuple(float((-1.0 / e[e < -1e-14]).min(initial=np.inf)) for e in emin)
+    steps = np.divide(-1.0, emin, out=np.full_like(emin, np.inf), where=emin < -1e-14)
+    ap, ad = steps.min(axis=1)
+    return float(ap), float(ad)
 
 
 def _sym(Z):
-    return 0.5 * (Z + np.transpose(Z, (0, 2, 1)))
+    return 0.5 * (Z + Z.transpose(0, 2, 1))
 
 
 def _matmul(A, B):
-    """A @ B over stacks, with longdouble products taken by `np.vecdot`.
+    """A @ B over stacks, or of a matrix and a vector B, with longdouble
+    products taken by `np.vecdot`.
 
     numpy has no BLAS for longdouble, and its matmul loop re-reads the
     running sum of every entry from memory at each term.  vecdot keeps
@@ -622,6 +712,8 @@ def _matmul(A, B):
     """
     if np.result_type(A, B) != _XP:
         return A @ B
+    if B.ndim == 1:
+        return np.vecdot(A, B)
     return np.vecdot(A[..., :, None, :], np.swapaxes(B, -1, -2)[..., None, :, :])
 
 
@@ -645,13 +737,14 @@ class _Form:
         self.groups = [
             _SizeGroup(size, by_size[size], m) for size in _group_order(by_size)
         ]
-        self.E, self.ET, self.d = sf.eq_mat, sf.eq_mat.T.tocsr(), sf.eq_rhs
+        self.E, self.ET = _Csr.of(sf.eq_mat), _Csr.of(sf.eq_mat.T.tocsr())
+        self.d = sf.eq_rhs
         self.data_scale = 1.0 + max(
             [float(np.abs(g.C).max()) for g in self.groups]
             + [float(np.abs(self.d).max(initial=0.0))]
         )
         self.obj_scale = 1.0 + float(np.abs(self.c).max())
-        self.ba = _BlockAngular(m, self.groups, self.E)
+        self.ba = _BlockAngular(m, self.groups, sf.eq_mat)
         # extended-precision Schur operator applications, over the solve
         self.applies = 0
 
@@ -747,7 +840,7 @@ class _Scaling:
         for g, W, place in zip(self.groups, self.W, form.ba.place):
             g.add_schur(W, views, place)
         self.factor = _BlockAngularFactor(form.ba, buf)
-        self.Rt = [np.transpose(R, (0, 2, 1)) for R in self.R]
+        self.Rt = [R.transpose(0, 2, 1) for R in self.R]
         # residual of the LMI in the NT-scaled space, shared by both solves
         self.Rl_sc = [Rt @ Rl @ R for R, Rt, Rl in zip(self.R, self.Rt, it.Rlmi)]
         # accuracy the Schur solve must reach: the residual it leaves is the
@@ -818,11 +911,11 @@ class _Scaling:
         dS, dX, Ds, Dx = [], [], [], []
         for g, R, Rt, G, Rl in zip(self.groups, self.R, self.Rt, Gt, self.it.Rlmi):
             dSg = _sym(g.lmi_step(dy) + Rl)
-            dS.append(dSg.astype(float))
-            Ds.append(_sym(_matmul(_matmul(Rt, dSg), R)).astype(float))
+            dS.append(dSg.astype(float, copy=False))
+            Ds.append(_sym(_matmul(_matmul(Rt, dSg), R)).astype(float, copy=False))
             Dx.append(G - Ds[-1])
             dX.append(_sym(R @ Dx[-1] @ Rt))
-        return dy.astype(float), dnu, dS, dX, Ds, Dx
+        return dy.astype(float, copy=False), dnu, dS, dX, Ds, Dx
 
     def step_lengths(self, direction):
         """(ap, ad): fractions of the longest steps that keep S and X PSD."""

@@ -10,6 +10,7 @@ Python ints used as bit sets, so elimination works word-parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionError
 from .poly import MonomialBasis
@@ -81,13 +82,28 @@ class SignSymmetryGroup:
             out += [v ^ b for v in out]
         return out
 
-    def signature(self, mono):
-        """Parity pattern of a monomial against the basis, packed in an int."""
-        pm = parity_mask(mono)
-        sig = 0
+    @cached_property
+    def _columns(self):
+        """Per variable v, the basis members with bit v set, packed like a
+        signature: the signature of the monomial x_v."""
+        cols = [0] * self.n
         for i, b in enumerate(self.basis):
-            if _dot2(b, pm):
-                sig |= 1 << i
+            while b:
+                low = b & -b
+                cols[low.bit_length() - 1] |= 1 << i
+                b ^= low
+        return cols
+
+    def signature(self, mono):
+        """Parity pattern of a monomial against the basis, packed in an int.
+
+        Bit i is the parity of basis[i] . mono, so the pattern is the XOR
+        of the variables' columns over the odd exponents of mono.
+        """
+        sig = 0
+        for col, e in zip(self._columns, mono):
+            if e & 1:
+                sig ^= col
         return sig
 
     def basis_vectors(self):
@@ -122,8 +138,7 @@ def in_closure(group, mono):
     """True iff r.mono is even for every group member (basis check suffices)."""
     if len(mono) != group.n:
         raise DimensionError(f"monomial length {len(mono)} != n {group.n}")
-    pm = parity_mask(mono)
-    return all(not _dot2(b, pm) for b in group.basis)
+    return group.signature(mono) == 0
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,15 @@ and exits 1 if any row differs or is missing on either side:
 
     PYTHONPATH=src python tests/fingerprint_rows.py --compare rows.txt
 
-It takes about a minute on one core.  pytest does not collect this file.
+With `--repeat N` each row is built and solved N times, and the minimum
+over the N runs of its build and of its solve seconds (as `ratsos bench`
+times them) goes to stderr, one line per row and a total line; stdout is
+the same as without it, so `--compare` works alongside:
+
+    PYTHONPATH=src python tests/fingerprint_rows.py --repeat 3 > rows.txt 2> times.txt
+
+It takes about a minute on one core, N times that with `--repeat N`.
+pytest does not collect this file.
 """
 
 import argparse
@@ -49,7 +57,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", metavar="FILE",
                         help="print only the rows that differ from a saved run")
+    parser.add_argument("--repeat", metavar="N", type=int,
+                        help="solve each row N times and print the minimum "
+                             "build and solve seconds to stderr")
     args = parser.parse_args()
+    if args.repeat is not None and args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     saved = None
     if args.compare:
         with open(args.compare) as fh:
@@ -57,8 +70,18 @@ def main():
             saved = {line.rsplit(" ", 4)[0]: line.rstrip("\n")
                      for line in fh if line.strip()}
     differ = False
+    total = [0.0, 0.0]
     for label, prob, method, k, order in rows():
-        rep = solve_relaxation(prob, method, k, ratio_order=order).report
+        runs = [solve_relaxation(prob, method, k, ratio_order=order)
+                for _ in range(args.repeat or 1)]
+        rep = runs[0].report
+        if args.repeat:
+            build_s = min(r.build_ms for r in runs) / 1000.0
+            solve_s = min(r.solve_ms for r in runs) / 1000.0
+            total[0] += build_s
+            total[1] += solve_s
+            print(f"{label} build {build_s:.4f} s solve {solve_s:.4f} s",
+                  file=sys.stderr, flush=True)
         line = " ".join(map(str, (label, rep.status, rep.iterations,
                                   repr(rep.primal), fingerprint(rep))))
         if saved is None:
@@ -71,6 +94,9 @@ def main():
     for old in (saved or {}).values():
         differ = True
         print(f"-{old}\n+(missing)", flush=True)
+    if args.repeat:
+        print(f"total build {total[0]:.4f} s solve {total[1]:.4f} s "
+              f"(min of {args.repeat} per row)", file=sys.stderr)
     return 1 if differ else 0
 
 

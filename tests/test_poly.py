@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from ratsos.errors import DimensionError
-from ratsos.poly import Polynomial, basis
+from ratsos.poly import Polynomial, basis, grlex_key
 from util import (
     assert_poly_close,
     binomial,
@@ -58,6 +59,68 @@ class TestArithmetic:
     def test_degree_overflow_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(1, {(70000,): 1.0})
+
+
+def reference_product(f, g):
+    """f * g by the general rule: every monomial's contributions summed in
+    the order of their sorted operand pairs."""
+    bucket = {}
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            mono = tuple(a + b for a, b in zip(ma, mb))
+            pair = (ma, mb) if ma <= mb else (mb, ma)
+            bucket.setdefault(mono, []).append((pair, ca * cb))
+    out = {}
+    for mono, parts in bucket.items():
+        s = 0.0
+        for _, val in sorted(parts):
+            s += val
+        if s != 0.0:
+            out[mono] = s
+    return out
+
+
+class TestConstructorFastPaths:
+    @pytest.mark.parametrize("n", [0, 1, 3, 100])
+    def test_constant_matches_constructor(self, n):
+        zero = (0,) * n
+        assert Polynomial.constant(n, 0.0).is_zero()
+        assert Polynomial.constant(n, -0.0).is_zero()
+        assert Polynomial.constant(n, 0.0) == Polynomial.zero(n)
+        for value in (1, -2.5, np.float64(3.0)):
+            got = Polynomial.constant(n, value)
+            assert got == Polynomial(n, {zero: value})
+            assert type(got.terms[zero]) is float
+
+    def test_variable_matches_constructor(self):
+        for n, i, power, coef in [(1, 0, 1, 1.0), (4, 2, 3, -0.5), (100, 99, 65535, 2),
+                                  (3, -1, 2, 1.0), (3, 0, 0, 4.0), (2, 1, 5, 0.0)]:
+            mono = [0] * n
+            mono[i] = power
+            got = Polynomial.variable(n, i, power, coef)
+            assert got == Polynomial(n, {tuple(mono): coef})
+            assert all(type(c) is float for c in got.terms.values())
+
+    @pytest.mark.parametrize("power", [-1, 65536, 1 << 20])
+    @pytest.mark.parametrize("coef", [1.0, 0.0])
+    def test_variable_power_out_of_range_raises(self, power, coef):
+        with pytest.raises(ValueError):
+            Polynomial.variable(3, 1, power, coef)
+        with pytest.raises(ValueError):
+            Polynomial(3, {(0, power, 0): coef})
+
+    def test_product_matches_general_rule(self):
+        rng = seeded_rng(79)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            f = random_polynomial(rng, n, 3)
+            g = random_polynomial(rng, n, 3, nterms=int(rng.integers(1, 3)))
+            for a, b in [(f, g), (g, f), (f, f), (g, g)]:
+                assert (a * b).terms == reference_product(a, b)
+
+    def test_grlex_key(self):
+        for mono in [(0,), (3, 0, 1), (0,) * 100, (65535, 2)]:
+            assert grlex_key(mono) == (sum(mono), tuple(-e for e in mono))
 
 
 class TestEvaluate:

@@ -287,6 +287,14 @@ class TestInternalSolver:
         assert abs(reported_bound(rep) - 5.0) <= 1e-6, (reported_bound(rep), facts)
 
 
+def scipy_csr(A):
+    """The scipy CSR matrix of a solver `_Csr`: A's entries in A's order,
+    with the row pointer rebased to start at 0, as scipy requires."""
+    lo, hi = A.indptr[0], A.indptr[-1]
+    return sp.csr_matrix((A.data[lo:hi], A.indices[lo:hi], A.indptr - lo),
+                         shape=A.shape)
+
+
 def schur_structure(sf):
     """Size groups and block-angular structure, as `solve_internal` sets them up."""
     form = sdp._Form(sf)
@@ -308,8 +316,9 @@ def first_iterate_schur(sf):
         eta = np.maximum(10.0, 1.5 * np.sqrt((g.C ** 2).sum(axis=(1, 2))))
         g.add_schur(np.sqrt(10.0 / eta)[:, None, None] * np.eye(g.s), views, place)
         ss = g.s * g.s
+        G = scipy_csr(g.G)
         for b in range(g.B):
-            Gb = g.G[b * ss:(b + 1) * ss]
+            Gb = G[b * ss:(b + 1) * ss]
             dense += (10.0 / eta[b]) * (Gb.T @ Gb).toarray()
     return ba, buf, dense
 
@@ -337,9 +346,10 @@ def schur_reference(g, W):
     nothing but the cost.
     """
     ss = g.s * g.s
-    ref = np.zeros((g.G.shape[1],) * 2)
+    G = scipy_csr(g.G)
+    ref = np.zeros((G.shape[1],) * 2)
     for b in range(g.B):
-        Gb = g.G[b * ss:(b + 1) * ss]
+        Gb = G[b * ss:(b + 1) * ss]
         cols = np.unique(Gb.indices)
         Gb = Gb[:, cols].toarray()
         ref[np.ix_(cols, cols)] += Gb.T @ np.kron(W[b], W[b]) @ Gb
@@ -603,6 +613,76 @@ class TestBlockAngularNewton:
         assert np.array_equal(split.y, dense.y)
 
 
+def repeated_entries(blk):
+    """The block with every entry split into two repeated entries, a quarter
+    and three quarters of it."""
+    return psd_block(blk.label, blk.size, np.tile(blk.rows, 2), np.tile(blk.cols, 2),
+                     np.tile(blk.varids, 2),
+                     np.concatenate((0.25 * blk.coefs, 0.75 * blk.coefs)),
+                     blk.const_rows, blk.const_cols, blk.const_vals)
+
+
+def duplicates(A):
+    """Number of entries of a `_Csr` at a (row, column) seen before."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    cols = A.indices[A.indptr[0]:A.indptr[-1]]
+    return len(rows) - len(np.unique(rows * A.shape[1] + cols))
+
+
+class TestDirectKernels:
+    """The solver's CSR products run scipy's kernels on scipy's operands, so
+    they must equal scipy's own `@` bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        # unit-ball-mix dense k=2: three 10x10 moment blocks and three 4x4
+        # localizing blocks, the latter given repeated entries
+        rsdp = build(gen_unit_ball_mix(), "dense", 2)
+        blocks = [repeated_entries(b) if kind == "localizing" else b
+                  for b, kind in zip(rsdp.blocks, rsdp.block_kind)]
+        sf = to_standard_form(rsdp)
+        sf = SdpStandardForm(sf.num_vars, sf.objective, blocks, sf.eq_mat, sf.eq_rhs)
+        groups = {g.s: g for g in sdp._Form(sf).groups}
+        return {"moment": groups[10], "localizing": groups[4]}
+
+    def test_repeated_entries_stay_apart(self, groups):
+        g = groups["localizing"]
+        assert sum(duplicates(FW) for FW in g.FW) > 0
+        assert sum(duplicates(Fh) for Fh in g.Fh) > 0
+        assert sum(duplicates(FW) for FW in groups["moment"].FW) == 0
+
+    @pytest.mark.parametrize("kind", ["moment", "localizing"])
+    def test_fw_w(self, groups, kind):
+        g = groups[kind]
+        rng = seeded_rng(61)
+        for FW, Wb in zip(g.FW, random_scaling(rng, g)):
+            for X in (Wb, Wb[:, :1]):  # csr_matvecs, and csr_matvec
+                got = FW @ X
+                assert got.shape == (FW.shape[0], X.shape[1])
+                assert np.array_equal(got, scipy_csr(FW) @ X)
+
+    @pytest.mark.parametrize("kind", ["moment", "localizing"])
+    def test_fh_t(self, groups, kind):
+        g = groups[kind]
+        rng = seeded_rng(67)
+        for Fh, vs in zip(g.Fh, g.vars_list):
+            for width in (len(vs), 1):
+                T = rng.normal(size=(Fh.shape[1], width))
+                assert np.array_equal(Fh @ T, scipy_csr(Fh) @ T)
+
+    @pytest.mark.parametrize("kind", ["moment", "localizing"])
+    @pytest.mark.parametrize("dtype", [float, sdp._XP], ids=["double", "longdouble"])
+    def test_g_y_and_gt_t(self, groups, kind, dtype):
+        g = groups[kind]
+        rng = seeded_rng(71)
+        y = (rng.normal(size=g.G.shape[1]) / 3).astype(dtype)
+        t = (rng.normal(size=g.GT.shape[1]) / 3).astype(dtype)
+        for A, x in [(g.G, y), (g.GT, t)]:
+            got = A @ x
+            assert got.dtype == dtype
+            assert np.array_equal(got, scipy_csr(A) @ x)
+
+
 def wvw(W, V):
     """W V W per block, as `_Scaling.apply` forms it."""
     return sdp._matmul(sdp._matmul(W, V), W)
@@ -628,6 +708,23 @@ class TestExtendedProducts:
 
         monkeypatch.setattr(np, "vecdot", no_vecdot)
         assert np.array_equal(sdp._matmul(Rt, W), Rt @ W)
+
+    def test_projection_in_extended_precision(self):
+        # the longdouble copies of the bases give the bits of numpy's matmul
+        # on the double bases, which casts them at every product
+        _, ba = schur_structure(to_standard_form(build(gen_unit_ball_mix(), "dense", 2)))
+        assert ba.r_I and ba.r_L
+        v = (seeded_rng(83).normal(size=ba.m) / 3).astype(sdp._XP)
+        want = v - ba.Q_I @ (ba.Q_I.T @ v)
+        want = want - ba.U @ (ba.U.T @ want)
+        got = ba.project(v)
+        assert got.dtype == sdp._XP
+        assert np.array_equal(got, want)
+        dnu = np.zeros(ba.nf)
+        dnu[ba.piv_L] = sdp._solve_upper(ba.R_L, np.asarray(ba.U.T @ v, dtype=float))
+        w = v - ba.E_L.T @ dnu[ba.piv_L]
+        dnu[ba.piv_I] = sdp._solve_upper(ba.R_I, np.asarray(ba.Q_I.T @ w, dtype=float))
+        assert np.array_equal(ba.multipliers(v), dnu)
 
     def test_wvw_benchmark(self, benchmark):
         # times the longdouble W V W of `_Scaling.apply` on one group of

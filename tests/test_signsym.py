@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ratsos.errors import DimensionError
 from ratsos.poly import Polynomial, basis, full_basis
 from ratsos.signsym import (
     BlockPartition,
@@ -116,6 +117,74 @@ class TestClosure:
             for r in range(1 << n):
                 if members is not None:
                     assert g.contains(r) == (r in members)
+
+
+def reference_signature(group, mono):
+    """The definition: bit i is the parity of basis[i] . mono."""
+    pm = parity_mask(mono)
+    return sum(((b & pm).bit_count() & 1) << i for i, b in enumerate(group.basis))
+
+
+def random_monomials(rng, n, count):
+    """Sparse monomials of n variables, exponents up to 5 and a few at the
+    16-bit limit, the zero monomial first."""
+    out = [(0,) * n]
+    for _ in range(count):
+        mono = [0] * n
+        for v in rng.integers(0, n, size=int(rng.integers(1, 6))):
+            mono[v] += int(rng.integers(1, 6))
+        if rng.random() < 0.1:
+            mono[int(rng.integers(0, n))] = 65535
+        out.append(tuple(mono))
+    return out
+
+
+def groups_of_every_rank(rng, n):
+    """Rank n (no odd support), rank 0 (every x_v in the support) and the
+    groups of a few random supports."""
+    unit = {tuple(int(u == v) for u in range(n)) for v in range(n)}
+    out = [sign_symmetries(set(), n), sign_symmetries(unit, n)]
+    for size in (1, n // 3 + 1, n // 2 + 1):
+        supp = {tuple(int(e) for e in rng.integers(0, 3, size=n)) for _ in range(size)}
+        out.append(sign_symmetries(supp, n))
+    return out
+
+
+class TestSignatureFastPath:
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 100])
+    def test_signature_and_closure_match_definition(self, n):
+        rng = seeded_rng(59 + n)
+        groups = groups_of_every_rank(rng, n)
+        assert [g.rank for g in groups[:2]] == [n, 0]
+        monos = random_monomials(rng, n, 60)
+        for g in groups:
+            for mono in monos:
+                sig = reference_signature(g, mono)
+                assert g.signature(mono) == sig
+                assert in_closure(g, mono) == (sig == 0)
+                assert in_closure(g, mono) == all(
+                    (b & parity_mask(mono)).bit_count() % 2 == 0 for b in g.basis
+                )
+
+    def test_closure_checks_length(self):
+        g = sign_symmetries({(1, 1, 0)}, 3)
+        with pytest.raises(DimensionError):
+            in_closure(g, (1, 1))
+        with pytest.raises(DimensionError):
+            in_closure(g, (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("n", [3, 12, 100])
+    def test_partition_classes_unchanged(self, n):
+        # the classes of equal signature by the definition, in order of
+        # their first member, on a basis over a few of the n variables
+        rng = seeded_rng(73 + n)
+        for g in groups_of_every_rank(rng, n):
+            b = basis(n, range(0, n, max(1, n // 4)), 3)
+            by_sig = {}
+            for i, mono in enumerate(b):
+                by_sig.setdefault(reference_signature(g, mono), []).append(i)
+            want = tuple(sorted((tuple(c) for c in by_sig.values()), key=lambda c: c[0]))
+            assert block_partition(g, b).classes == want
 
 
 class TestBlockPartition:
