@@ -212,10 +212,10 @@ class RelaxationSdp:
     def block_size_histogram(self):
         return dict(sorted(Counter(b.size for b in self.blocks).items()))
 
-    def moment_matrix(self, report, measure, order):
-        """Masked moment matrix of one measure at a given order."""
+    def moment_matrix(self, report, measure):
+        """Masked moment matrix of one measure at the relaxation's order."""
         lay = self.measures[measure]
-        mb = basis(len(self.var_scale), lay.var_indices, order)
+        mb = basis(len(self.var_scale), lay.var_indices, self.order)
         M = np.zeros((len(mb), len(mb)))
         y = report.y
         for a, beta in enumerate(mb):
@@ -723,10 +723,12 @@ def flatness_certificate(rsdp, report, rank_tol=1e-6):
     orders = [k, k - d]
     if k - d - 1 >= 0:
         orders.append(k - d - 1)
-    ranks = [
-        _numerical_rank(rsdp.moment_matrix(report, 0, s), rank_tol)
-        for s in orders
-    ]
+    # the graded basis of a lower order is a prefix of order k's, so each
+    # M_s is a leading principal block of M_k
+    M = rsdp.moment_matrix(report, 0)
+    indices = rsdp.measures[0].var_indices
+    sizes = [len(basis(len(rsdp.var_scale), indices, s)) for s in orders]
+    ranks = [_numerical_rank(M[:n, :n], rank_tol) for n in sizes]
     return all(r == ranks[0] for r in ranks)
 
 

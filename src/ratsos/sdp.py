@@ -88,7 +88,6 @@ class SdpStandardForm:
     blocks: list
     eq_mat: sp.csr_matrix = None
     eq_rhs: np.ndarray = None
-    origin: object = None
 
     def __post_init__(self):
         if self.eq_mat is None:
@@ -131,8 +130,7 @@ def to_standard_form(rsdp):
     The blocks are kept as built, 1x1 blocks included; the equality rows
     are packed into one sparse matrix, each scaled to a unit max-abs
     coefficient.  Dependent rows stay: the solver gives them a zero
-    multiplier.  The relaxation object is retained so moment values can
-    be read back per monomial.
+    multiplier.
     """
     data, ri, ci, rb = [], [], [], []
     for r, (cols, vals, b) in enumerate(rsdp.eq_rows):
@@ -149,7 +147,6 @@ def to_standard_form(rsdp):
             (data, (ri, ci)), shape=(len(rsdp.eq_rows), rsdp.num_decision)
         ),
         eq_rhs=np.asarray(rb, dtype=float),
-        origin=rsdp,
     )
 
 
@@ -663,17 +660,6 @@ class _BlockAngularFactor:
         return dy, self.multipliers(v), res
 
 
-def _group_order(by_size):
-    """Block sizes in the order of their size groups: ascending, 1 last.
-
-    Every sum over groups then adds the 1x1 terms after those of the larger
-    blocks.  Degenerate relaxations are sensitive to that rounding order:
-    with the 1x1 group first, motzkin-chain-N2 cs-signsym k=5 ends
-    near_optimal after 24 iterations instead of optimal after 23.
-    """
-    return sorted(by_size, key=lambda s: (s == 1, s))
-
-
 def _nt_factor_stack(X, S):
     """Batched NT scaling: R R' = W with W S W = X, lam the scaled spectrum."""
     Lx = np.linalg.cholesky(X)
@@ -720,7 +706,8 @@ def _matmul(A, B):
 class _Form:
     """What the loop needs of one SdpStandardForm, set up once per solve.
 
-    The size groups in `_group_order`, the objective c at unit scale (duals
+    The size groups in ascending size order (the 1x1 group, if any, first;
+    every sum over groups follows it), the objective c at unit scale (duals
     scale linearly, so the values are multiplied back by c_gamma), E, E'
     and d, the scales of the residuals and the block-angular structure of
     the Newton system.
@@ -734,9 +721,7 @@ class _Form:
         by_size = {}
         for blk in sf.blocks:
             by_size.setdefault(blk.size, []).append(blk)
-        self.groups = [
-            _SizeGroup(size, by_size[size], m) for size in _group_order(by_size)
-        ]
+        self.groups = [_SizeGroup(size, by_size[size], m) for size in sorted(by_size)]
         self.E, self.ET = _Csr.of(sf.eq_mat), _Csr.of(sf.eq_mat.T.tocsr())
         self.d = sf.eq_rhs
         self.data_scale = 1.0 + max(
@@ -859,8 +844,9 @@ class _Scaling:
         """(ap, ad, direction) of Mehrotra's predictor-corrector step.
 
         The affine predictor aims at zero complementarity; the gap it would
-        reach sets the centering sigma, and the corrector adds its
-        second-order term, all in the NT-scaled space.
+        reach sets the centering sigma = (mu_aff / mu)^3 (Mehrotra 1992),
+        clamped to [1e-12, 0.999], and the corrector adds its second-order
+        term, all in the NT-scaled space.
         """
         it, form = self.it, self.it.form
         G_aff = []
@@ -877,13 +863,7 @@ class _Scaling:
             for X, S, dX, dS in zip(it.X, it.S, dX_a, dS_a)
         )
         mu_aff = max(gap_aff / form.dim, 0.0)
-        sigma = (mu_aff / it.mu) ** 3
-        # keep complementarity commensurate with the remaining objective
-        # gap: collapsing mu early leaves the iterate drifting to the
-        # optimum through increasingly ill-conditioned systems
-        gap_scaled = abs(it.pobj - it.dobj) / form.c_gamma
-        sigma_floor = min(0.5, 0.05 * gap_scaled / max(form.dim * it.mu, 1e-300))
-        sigma = min(0.999, max(1e-12, sigma, sigma_floor))
+        sigma = min(0.999, max(1e-12, (mu_aff / it.mu) ** 3))
 
         # corrector with second-order term in the scaled space
         G_corr = []

@@ -16,13 +16,15 @@ from ratsos import sdp
 from ratsos.cli import main
 from ratsos.errors import ProblemTooLargeError, SolveError
 from ratsos.families import (
+    gen_motzkin_chain,
     gen_overlap_chain,
     gen_rand_srfo,
     gen_reznick_chain,
     gen_reznick_sparse_chain,
     gen_unit_ball_mix,
 )
-from ratsos.relax import build, reported_bound
+from ratsos.problem import parse
+from ratsos.relax import build, reported_bound, solve_relaxation
 from ratsos.sdp import (
     PsdBlockData,
     SdpStandardForm,
@@ -256,6 +258,38 @@ class TestInternalSolver:
             assert not rep.ok(), rep.status
         else:
             assert (rep.status, rep.iterations) == (status, iterations)
+
+    def test_empty_set_stops_on_the_stall_exit(self):
+        # min x1 over the empty set -1 - x1^2 - x2^2 >= 0: no divergence
+        # heuristic fires, and without the 12-iteration stall exit the
+        # loop runs 60 iterations
+        prob = parse("vars x1 x2\nratio: (x1)/(1)\n"
+                     "constraint: -1 - x1^2 - x2^2 >= 0\n")
+        rep = solve_relaxation(prob, "dense", 1).report
+        assert not rep.ok() and rep.iterations <= 20, (rep.status, rep.iterations)
+
+    @pytest.mark.parametrize("family, method, k", [
+        (lambda: gen_motzkin_chain(2), "cs-signsym", 5),
+        (gen_unit_ball_mix, "signsym", 3),
+    ], ids=["motzkin-chain-N2-cs-signsym", "unit-ball-mix-signsym"])
+    def test_status_does_not_hang_on_group_order(self, monkeypatch, family,
+                                                 method, k):
+        # every sum over size groups runs in their order; the same form
+        # with the groups descending instead of ascending must end the same
+        sf = to_standard_form(build(family(), method, k))
+        ascending = solve_internal(sf)
+        monkeypatch.setattr(sdp, "sorted",
+                            lambda sizes: sorted(sizes, reverse=True),
+                            raising=False)
+        sizes = [g.s for g in sdp._Form(sf).groups]
+        assert 1 in sizes and len(sizes) > 2
+        assert sizes == sorted(sizes, reverse=True)
+        descending = solve_internal(sf)
+        assert ascending.status == "optimal"
+        assert ((descending.status, descending.iterations)
+                == (ascending.status, ascending.iterations))
+        assert reported_bound(descending, False) == pytest.approx(
+            reported_bound(ascending, False), abs=1e-4)
 
     def test_previous_factor_freed(self, monkeypatch):
         # one Schur matrix and factor alive at a time: none of an earlier
