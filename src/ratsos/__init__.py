@@ -13,7 +13,6 @@ from .relax import (
     METHODS,
     RelaxationSdp,
     build,
-    build_epigraph,
     flatness_certificate,
     min_order,
     solve_relaxation,
@@ -54,7 +53,6 @@ __all__ = [
     "basis",
     "build",
     "build_cliques",
-    "build_epigraph",
     "ensure_ball_constraints",
     "export_sdpa",
     "flatness_certificate",

@@ -14,8 +14,10 @@ differ on two independent axes:
   cs          split, no mask
   cs-signsym  split, global mask
 
-The epigraph baseline is built alongside: the lifted polynomial problem
-with one shared moment vector.
+The epigraph baseline is the same two axes applied to the lifted problem
+min sum_i c_i s.t. p_i - c_i q_i = 0: one measure per clique extended by
+its value c_i under `cs-signsym`, or without cliques the one ratio
+(sum_i c_i)/1 under `signsym`.
 
 The moment form is assembled once per method; the solver's dual value
 certifies the SOS side, so the dual programs are never built separately.
@@ -37,7 +39,12 @@ import numpy as np
 from .corrsparse import build_cliques
 from .errors import BuildError, OrderTooSmallError, SolveError
 from .poly import Polynomial, basis, grlex_key, mono_mul
-from .problem import SrfoProblem, variable_bounds
+from .problem import (
+    Constraint,
+    SrfoProblem,
+    diag_quadratic_pattern,
+    variable_bounds,
+)
 from .sdp import SolveReport, psd_block, solve_internal, to_standard_form
 from .signsym import (
     SignSymmetryGroup,
@@ -79,8 +86,6 @@ class QuotientReducer:
 
     def try_add(self, poly):
         """Absorb a diagonal-quadric equality; None if unusable or cyclic."""
-        from .problem import diag_quadratic_pattern
-
         pat = diag_quadratic_pattern(poly)
         if pat is None:
             return None
@@ -172,7 +177,7 @@ class MeasureLayout:
     monomials: tuple
     offset: int
     index: dict
-    q_scaled: Polynomial | None = None
+    q_scaled: Polynomial
     reducer: QuotientReducer | None = None
 
     def __len__(self):
@@ -182,10 +187,9 @@ class MeasureLayout:
 class RelaxationSdp:
     """Block SDP produced by a builder, plus the layout to read moments back."""
 
-    def __init__(self, method, order, d_min, problem, var_scale):
+    def __init__(self, method, order, problem, var_scale):
         self.method = method
         self.order = order
-        self.d_min = d_min
         self.problem = problem
         self.var_scale = np.asarray(var_scale, dtype=float)
         self.measures = []
@@ -195,7 +199,6 @@ class RelaxationSdp:
         self.eq_rows = []
         self.objective = None
         self.num_decision = 0
-        self.maximize = problem.maximize
 
     def add_measure(self, layout):
         self.measures.append(layout)
@@ -240,12 +243,7 @@ def _half_deg(poly):
 def min_order(prob, method="dense"):
     """Smallest admissible relaxation order for a method on a problem."""
     if method == "epigraph":
-        degs = [1]
-        for p, q in prob.ratios:
-            degs.append((max(p.degree(), q.degree() + 1) + 1) // 2)
-        for con in prob.constraints:
-            degs.append(_half_deg(con.poly))
-        return max(degs)
+        prob = _lift(prob)[0]
     degs = []
     for p, q in prob.ratios:
         degs.append(_half_deg(p))
@@ -268,8 +266,6 @@ def _anchor_point(nvars, scaled_cons):
     a uniform interior point and projects onto any diagonal-quadric
     equalities.
     """
-    from .problem import diag_quadratic_pattern
-
     u = np.full(nvars, 0.5)
     votes = {}
     for g, is_eq, _ in scaled_cons:
@@ -412,7 +408,7 @@ def _riesz_cols(lay, terms, alpha):
     return cols, [acc[gid] for gid in cols]
 
 
-def _ratio_relaxation(prob, method, k, ratio_order, cs):
+def _ratio_relaxation(prob, method, k, ratio_order):
     """One measure per ratio; `_AXES[method]` gives its split and its mask.
 
     The split decides each measure's variables and constraints, and which
@@ -429,7 +425,7 @@ def _ratio_relaxation(prob, method, k, ratio_order, cs):
     order = list(ratio_order) if ratio_order is not None else list(range(N))
     if sorted(order) != list(range(N)):
         raise BuildError(f"ratio_order {order} is not a permutation of 0..{N - 1}")
-    if split and cs is None:
+    if split:
         cs = build_cliques(prob)
     if mask == "measure":
         supports = support_sets(prob, ratio_order=order)
@@ -443,7 +439,7 @@ def _ratio_relaxation(prob, method, k, ratio_order, cs):
     d_min = min_order(prob)
     if k < d_min:
         raise OrderTooSmallError(k, d_min)
-    rsdp = RelaxationSdp(method, k, d_min, prob, tau)
+    rsdp = RelaxationSdp(method, k, prob, tau)
 
     sign = -1.0 if prob.maximize else 1.0
     cons = [(c.poly, c.equality, f"g{j + 1}") for j, c in enumerate(prob.constraints)]
@@ -508,142 +504,48 @@ def _ratio_relaxation(prob, method, k, ratio_order, cs):
     return rsdp
 
 
-def build_epigraph(prob, k, cs=None):
-    """Moment relaxation of the lifted problem with one value variable per
-    ratio constrained by p_i - c_i q_i = 0; exploits cliques and the sign
-    symmetries of the lifted support over one shared moment vector."""
-    n = prob.nvars
-    N = prob.num_ratios
-    ne = n + N
-    if cs is None and prob.cliques is not None:
-        cs = build_cliques(prob)
+def _lift(prob):
+    """The lifted problem min sum_i c_i s.t. sign*p_i - c_i q_i = 0, and the
+    ratio method that relaxes it.
+
+    Each value c_i is the ratio c_i/1 on the clique of ratio i extended by
+    c_i, relaxed by `cs-signsym`; without cliques the one ratio
+    (sum_i c_i)/1 is relaxed by `signsym`.
+    """
+    n, N = prob.nvars, prob.num_ratios
     sign = -1.0 if prob.maximize else 1.0
 
     def lift(poly):
-        return Polynomial(
-            ne, {m + (0,) * N: c for m, c in poly.terms.items()}
-        )
+        return Polynomial(n + N, {m + (0,) * N: c for m, c in poly.terms.items()})
 
-    eq_polys = []
-    for i, (p, q) in enumerate(prob.ratios):
-        ci_var = Polynomial.variable(ne, n + i)
-        eq_polys.append(lift(sign * p) - ci_var * lift(q))
-    lifted_cons = [lift(c.poly) for c in prob.constraints]
-
-    d_min = min_order(prob, "epigraph")
-    if k < d_min:
-        raise OrderTooSmallError(k, d_min)
-
-    if cs is not None:
-        ext_cliques = [
-            tuple(sorted(set(cl) | {n + i})) for i, cl in enumerate(cs.cliques)
-        ]
-    else:
-        ext_cliques = [tuple(range(ne))]
-
-    supp = set()
-    for f in eq_polys + lifted_cons:
-        supp |= set(f.support)
-    for i in range(N):
-        supp.add(tuple(0 if v != n + i else 1 for v in range(ne)))
-    group = sign_symmetries(supp, ne)
-
-    tau = np.concatenate([_scale_factors(prob), np.ones(N)])
-    rsdp = RelaxationSdp("epigraph", k, d_min, prob, tau)
-
-    def unit_scale(f):
-        return f * (1.0 / max(abs(cf) for cf in f.terms.values()))
-
-    eq_scaled = [unit_scale(f.rescale_vars(tau)) for f in eq_polys]
-    cons_scaled = [unit_scale(g.rescale_vars(tau)) for g in lifted_cons]
-
-    # quotient reduction by diagonal-quadric equalities; only safe with a
-    # single clique, where expansions cannot leave the monomial layout
-    # (the lifted value equalities are never of that shape)
-    reducer = QuotientReducer(ne) if len(ext_cliques) == 1 else None
-    cons_kept = []
-    for j, g in enumerate(cons_scaled):
-        if (
-            reducer is not None
-            and prob.constraints[j].equality
-            and reducer.try_add(g) is not None
-        ):
-            continue
-        cons_kept.append((g, prob.constraints[j].equality, f"g{j + 1}"))
-    if reducer is not None and not reducer.relations:
-        reducer = None
-
-    def keeps(mono):
-        if not in_closure(group, mono):
-            return False
-        return reducer is None or reducer.is_kept(mono)
-
-    # one shared decision vector across cliques
-    seen = {}
-    for cl in ext_cliques:
-        for mono in basis(ne, cl, 2 * k):
-            if mono not in seen and keeps(mono):
-                seen[mono] = True
-    monos = sorted(seen, key=grlex_key)
-    lay = MeasureLayout(
-        label="lift",
-        var_indices=tuple(range(ne)),
-        monomials=tuple(monos),
-        offset=0,
-        index={m: i for i, m in enumerate(monos)},
-        q_scaled=None,
-        reducer=reducer,
-    )
-    rsdp.add_measure(lay)
-    rsdp.num_decision = len(monos)
-
-    obj = np.zeros(rsdp.num_decision)
-    for i in range(N):
-        ci_mono = tuple(0 if v != n + i else 1 for v in range(ne))
-        obj[lay.index[ci_mono]] += 1.0
-    rsdp.objective = obj
-
-    # constraint ownership: lifted g_j to the first fitting clique, the
-    # value-equality of ratio i to clique i
-    owners = [[] for _ in ext_cliques]
-    for g, is_eq, gname in cons_kept:
-        used = g.vars_used()
-        home = next(
-            (ci for ci, cl in enumerate(ext_cliques) if used <= set(cl)), None
-        )
-        if home is None:
-            raise BuildError(f"constraint {gname} fits no extended clique")
-        owners[home].append((g, is_eq, gname))
-    for i, f in enumerate(eq_scaled):
-        home = i if cs is not None else 0
-        owners[home].append((f, True, f"lift{i + 1}"))
-
-    for ci, cl in enumerate(ext_cliques):
-        plan = _Plan(
-            f"c{ci + 1}", cl, Polynomial.zero(ne), Polynomial.zero(ne),
-            owners[ci], group, reducer,
-        )
-        _emit_measure_blocks(rsdp, 0, plan, k, ne)
-
-    zero = (0,) * ne
-    rsdp.add_eq([lay.index[zero]], [1.0], 1.0)
-    return rsdp
+    values = [Polynomial.variable(n + N, n + i) for i in range(N)]
+    one = Polynomial.constant(n + N, 1.0)
+    cons = [Constraint(lift(c.poly), c.equality) for c in prob.constraints]
+    cons += [Constraint(lift(sign * p) - c * lift(q), True)
+             for c, (p, q) in zip(values, prob.ratios)]
+    if prob.cliques is None:
+        return SrfoProblem(n + N, [(sum(values), one)], cons), "signsym"
+    cliques = [cl + (n + i,) for i, cl in enumerate(build_cliques(prob).cliques)]
+    lifted = SrfoProblem(n + N, [(c, one) for c in values], cons, cliques)
+    return lifted, "cs-signsym"
 
 
-def build(prob, method, k, ratio_order=None, cs=None):
+def build(prob, method, k, ratio_order=None):
     """Moment relaxation of order k by one of METHODS.
 
     `ratio_order` (a permutation of the ratio indices) orders the measures of
-    `dense` and `signsym`, the methods without a clique split; `cs` replaces
-    the cliques derived from the problem.
+    `dense` and `signsym`, the methods without a clique split.  `epigraph`
+    relaxes the lifted problem of `_lift` by its ratio method.
     """
     if method not in METHODS:
         raise BuildError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     if ratio_order is not None and method not in ("dense", "signsym"):
         raise BuildError(f"a ratio order applies to dense and signsym, not {method}")
-    if method == "epigraph":
-        return build_epigraph(prob, k, cs=cs)
-    return _ratio_relaxation(prob, method, k, ratio_order, cs)
+    if method != "epigraph":
+        return _ratio_relaxation(prob, method, k, ratio_order)
+    rsdp = _ratio_relaxation(*_lift(prob), k, None)
+    rsdp.method, rsdp.problem = method, prob
+    return rsdp
 
 
 # ---------------------------------------------------------------------------
@@ -667,21 +569,17 @@ def dirac_decision_vector(rsdp, point):
     """Decision vector of the point mass at a feasible point.
 
     Each ratio measure is the Dirac measure scaled so L_y(q_i) = 1; the
-    epigraph layout gets the lifted point with unit mass.
+    epigraph relaxes the lifted problem, so the point gets the values
+    c_i = sign*p_i/q_i appended.
     """
     point = np.asarray(point, dtype=float)
     prob = rsdp.problem
-    y = np.zeros(rsdp.num_decision)
     if rsdp.method == "epigraph":
         sign = -1.0 if prob.maximize else 1.0
-        cvals = [
-            sign * p.evaluate(point) / q.evaluate(point) for p, q in prob.ratios
-        ]
-        ext = np.concatenate([point, cvals]) / rsdp.var_scale
-        lay = rsdp.measures[0]
-        for mono, gid in lay.index.items():
-            y[gid] = float(np.prod([x ** e for x, e in zip(ext, mono)]))
-        return y
+        point = np.concatenate(
+            [point, [sign * p.evaluate(point) / q.evaluate(point) for p, q in prob.ratios]]
+        )
+    y = np.zeros(rsdp.num_decision)
     scaled = point / rsdp.var_scale
     for lay in rsdp.measures:
         t = 1.0 / lay.q_scaled.evaluate(scaled)
@@ -752,7 +650,6 @@ def solve_relaxation(
     method,
     k,
     ratio_order=None,
-    cs=None,
     tol=1e-8,
     max_iter=200,
     rank_tol=1e-6,
@@ -763,7 +660,7 @@ def solve_relaxation(
     best iterate, whatever its status.
     """
     t0 = time.perf_counter()
-    rsdp = build(prob, method, k, ratio_order=ratio_order, cs=cs)
+    rsdp = build(prob, method, k, ratio_order=ratio_order)
     sf = to_standard_form(rsdp)
     build_ms = 1000.0 * (time.perf_counter() - t0)
     t1 = time.perf_counter()

@@ -20,7 +20,6 @@ from ratsos.poly import Polynomial, basis, full_basis
 from ratsos.problem import Constraint, SrfoProblem, parse
 from ratsos.relax import (
     build,
-    build_epigraph,
     dirac_decision_vector,
     flatness_certificate,
     min_order,
@@ -164,16 +163,51 @@ class TestStructure:
         assert len(rsdp.eq_rows) == 1  # only the normalization survives
 
     def test_epigraph_objective_is_value_vars(self):
+        # one measure per extended clique, each with its own value c_i as
+        # its only objective term
         prob = gen_rosenbrock_ratio(3)
-        rsdp = build_epigraph(prob, 3)
+        ne = prob.nvars + 3
+        rsdp = build(prob, "epigraph", 3)
         nz = np.nonzero(rsdp.objective)[0]
-        assert len(nz) == 3
-        lay = rsdp.measures[0]
-        for gid in nz:
-            mono = lay.monomials[gid]
-            assert sum(mono) == 1 and any(
-                mono[prob.nvars + i] == 1 for i in range(3)
-            )
+        assert len(nz) == len(rsdp.measures) == 3
+        for i, lay in enumerate(rsdp.measures):
+            value = tuple(int(v == prob.nvars + i) for v in range(ne))
+            own = [gid for gid in nz if lay.offset <= gid < lay.offset + len(lay)]
+            assert own == [lay.index[value]]
+
+    @pytest.mark.parametrize("prob, lifted_method, k", [
+        (gen_rosenbrock_ratio(3), "cs-signsym", 3),
+        (gen_unit_ball_mix(), "signsym", 2),
+    ], ids=["rosenbrock-ratio-cliques", "unit-ball-mix-no-cliques"])
+    def test_epigraph_is_ratio_method_of_lift(self, prob, lifted_method, k):
+        # min sum c_i s.t. sign*p_i - c_i q_i = 0, written out by hand: per
+        # extended clique with cliques, as one ratio (sum c_i)/1 without
+        n, N = prob.nvars, prob.num_ratios
+        sign = -1.0 if prob.maximize else 1.0
+
+        def lift(poly):
+            return Polynomial(n + N, {m + (0,) * N: c for m, c in poly.terms.items()})
+
+        values = [Polynomial.variable(n + N, n + i) for i in range(N)]
+        one = Polynomial.constant(n + N, 1.0)
+        cons = [Constraint(lift(c.poly), c.equality) for c in prob.constraints]
+        cons += [Constraint(lift(sign * p) - c * lift(q), True)
+                 for c, (p, q) in zip(values, prob.ratios)]
+        if prob.cliques is None:
+            lifted = SrfoProblem(n + N, [(sum(values), one)], cons)
+        else:
+            cliques = [cl + (n + i,) for i, cl in enumerate(prob.cliques)]
+            lifted = SrfoProblem(n + N, [(c, one) for c in values], cons, cliques)
+        got = build(prob, "epigraph", k)
+        ref = build(lifted, lifted_method, k)
+        assert got.method == "epigraph" and got.problem is prob
+        assert np.array_equal(got.objective, ref.objective)
+        assert got.eq_rows == ref.eq_rows
+        assert len(got.blocks) == len(ref.blocks)
+        for a, b in zip(got.blocks, ref.blocks):
+            assert (a.label, a.size) == (b.label, b.size)
+            for field in ("rows", "cols", "varids", "coefs"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 class TestBounds:
@@ -293,11 +327,15 @@ class TestBounds:
 
 class TestDiracFeasibility:
     @pytest.mark.parametrize(
-        "method,k",
-        [("dense", 2), ("signsym", 2), ("cs", 2), ("cs-signsym", 2), ("epigraph", 2)],
+        "prob,method,k",
+        [(gen_overlap_chain(3, 1), method, 2)
+         for method in ("dense", "signsym", "cs", "cs-signsym", "epigraph")]
+        # a maximization: the lifted point carries c_i = -p_i/q_i
+        + [(gen_rosenbrock_ratio(3), "epigraph", 3)],
+        ids=["dense-2", "signsym-2", "cs-2", "cs-signsym-2", "epigraph-2",
+             "rosenbrock-ratio-epigraph-3"],
     )
-    def test_feasible_point_vector(self, method, k):
-        prob = gen_overlap_chain(3, 1)
+    def test_feasible_point_vector(self, prob, method, k):
         rng = seeded_rng(101)
         rsdp = build(prob, method, k)
         sf = to_standard_form(rsdp)

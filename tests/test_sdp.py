@@ -452,11 +452,14 @@ class TestBlockAngularNewton:
     @pytest.mark.parametrize("prob, method, k, sizes, linking", [
         (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3, [210] * 6, True),
         (gen_reznick_sparse_chain(5, 2), "cs", 6, [169] * 5, False),
-        (gen_overlap_chain(8, 1), "epigraph", 3, [324], False),
+        # one measure per extended clique, linked on the shared variables
+        (gen_overlap_chain(8, 1), "epigraph", 3, [44] * 8, True),
+        # without cliques: one measure, so one component
+        (gen_unit_ball_mix(), "epigraph", 2, [210], False),
         # 80 linking rows across 3 measures, each measure its own component
         (gen_unit_ball_mix(), "signsym", 4, [55, 95, 165], True),
     ], ids=["rand-srfo-dense", "reznick-sparse-cs", "overlap-epigraph",
-            "unit-ball-mix-signsym"])
+            "unit-ball-mix-epigraph", "unit-ball-mix-signsym"])
     def test_components_and_merge(self, prob, method, k, sizes, linking):
         sf = to_standard_form(build(prob, method, k))
         _, ba = schur_structure(sf)
@@ -634,13 +637,13 @@ class TestBlockAngularNewton:
             sdp._solve_upper(R, np.full(40, np.nan), trans=trans)
 
     def test_one_component_gives_dense_iterates(self, monkeypatch):
-        sf = to_standard_form(build(gen_overlap_chain(8, 1), "epigraph", 3))
+        sf = to_standard_form(build(gen_reznick_chain(2, 1), "dense", 3))
         split = solve_internal(sf)
         monkeypatch.setattr(
             sdp, "_BlockAngularFactor", dense_reference_factor(sf.eq_mat)
         )
         dense = solve_internal(sf)
-        assert split.schur_blocks == (324,)
+        assert split.schur_blocks == (49,)
         assert split.status == dense.status == "optimal"
         assert split.iterations == dense.iterations
         assert (split.primal, split.dual) == (dense.primal, dense.dual)
