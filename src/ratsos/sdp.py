@@ -39,8 +39,6 @@ from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 from .errors import ProblemTooLargeError, SolveError
 
 DEFAULT_PSD_CAP = 3000
-# extended precision for the Newton residuals (80-bit on x86-64)
-_XP = np.longdouble
 
 
 @dataclass
@@ -117,7 +115,7 @@ class SolveReport:
     y: np.ndarray | None = None
     # orders of the separately factored blocks of the Schur matrix
     schur_blocks: tuple = ()
-    # extended-precision applications of the Schur operator (`_Scaling.apply`)
+    # applications of the Schur operator by the refinement (`_Scaling.apply`)
     krylov_applies: int = 0
 
     def ok(self):
@@ -190,6 +188,13 @@ class _Csr:
         """The arrays of a scipy CSR matrix, as they are."""
         return cls(A.indptr, A.indices, A.data, A.shape[1])
 
+    def transposed(self):
+        """The transpose, for an indptr starting at 0: the arrays of scipy's
+        `A.T.tocsr()`, each row's entries in the order of their rows here."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return _Csr(*_csr_arrays(self.indices, rows, self.data, self.shape[1]),
+                    self.shape[0])
+
     def __matmul__(self, x):
         rows, cols = self.shape
         dtype = np.promote_types(self.data.dtype, x.dtype)
@@ -218,8 +223,7 @@ class _SizeGroup:
 
     G is the vectorized LMI map: entry (b*s*s + i*s + j, l) is F_{b,l}[i, j].
     Residuals, scalings and step lengths run on (B, s, s) stacks, so many
-    small blocks cost barely more than one large one.  Products with G
-    take the dtype of their operand.
+    small blocks cost barely more than one large one.
 
     The Schur assembly keeps F sparse.  Number the variables of block b
     (`vars_list[b]`) l = 0..n-1.  FW[b] has entry (i*n + l, k) equal to
@@ -248,7 +252,8 @@ class _SizeGroup:
         local -= n_off[b]
         fi, fk, fb, fv, fl, fa = _mirrored(r, c, b, v, local, a)
         G = sp.csr_matrix((fa, (fb * ss + fi * s + fk, fv)), shape=(B * ss, m))
-        self.G, self.GT = _Csr.of(G), _Csr.of(G.T.tocsr())
+        self.G = _Csr.of(G)
+        self.GT = self.G.transposed()
         ptr, idx, val = _csr_arrays(s * n_off[fb] + fi * n[fb] + fl, fk, fa,
                                     s * n_off[-1])
         self.FW = [_Csr(ptr[s * n0:s * n1 + 1], idx, val, s)
@@ -420,13 +425,6 @@ class _BlockAngular:
                 self.r_L = U.shape[1]
                 self.piv_L = link[pk]
                 self.E_L = Et[:, self.piv_L].T
-        # (Q, Q') of the intra ("I") and linking ("L") rows' bases
-        self.bases = {}
-        if self.r_I:
-            self.bases["I"] = (self.Q_I, self.Q_I.T)
-        if self.r_L:
-            self.bases["L"] = (self.U, self.U.T)
-        self.bases_xp = None
 
     def _place(self, comp_of, vs):
         k = int(comp_of[vs[0]])
@@ -442,27 +440,12 @@ class _BlockAngular:
             for k, n in enumerate(self.sizes)
         ]
 
-    def _bases(self, v):
-        """`bases` for products with v.
-
-        A longdouble v takes extended-precision C-ordered copies, made at
-        the first such call of the solve: numpy would cast a whole basis at
-        every product, and `_matmul` adds the same rounded products in the
-        same order either way.
-        """
-        if v.dtype != _XP:
-            return self.bases
-        if self.bases_xp is None:
-            self.bases_xp = {
-                kind: tuple(np.ascontiguousarray(M, dtype=_XP) for M in QQt)
-                for kind, QQt in self.bases.items()
-            }
-        return self.bases_xp
-
     def project(self, v):
         """Component of v in null(E)."""
-        for Q, Qt in self._bases(v).values():
-            v = v - _matmul(Q, _matmul(Qt, v))
+        if self.r_I:
+            v = v - self.Q_I @ (self.Q_I.T @ v)
+        if self.r_L:
+            v = v - self.U @ (self.U.T @ v)
         return v
 
     def particular(self, r_e):
@@ -480,16 +463,11 @@ class _BlockAngular:
     def multipliers(self, v):
         """dnu with E' dnu = (Q_I Q_I' + U U') v; dependent rows get zero."""
         dnu = np.zeros(self.nf)
-        bases = self._bases(v)
         if self.r_L:
-            dnu[self.piv_L] = _solve_upper(
-                self.R_L, np.asarray(_matmul(bases["L"][1], v), dtype=float)
-            )
+            dnu[self.piv_L] = _solve_upper(self.R_L, self.U.T @ v)
             v = v - self.E_L.T @ dnu[self.piv_L]
         if self.r_I:
-            dnu[self.piv_I] = _solve_upper(
-                self.R_I, np.asarray(_matmul(bases["I"][1], v), dtype=float)
-            )
+            dnu[self.piv_I] = _solve_upper(self.R_I, self.Q_I.T @ v)
         return dnu
 
 
@@ -686,23 +664,6 @@ def _sym(Z):
     return 0.5 * (Z + Z.transpose(0, 2, 1))
 
 
-def _matmul(A, B):
-    """A @ B over stacks, or of a matrix and a vector B, with longdouble
-    products taken by `np.vecdot`.
-
-    numpy has no BLAS for longdouble, and its matmul loop re-reads the
-    running sum of every entry from memory at each term.  vecdot keeps
-    that sum in a register: it starts from 0 and adds the same rounded
-    products in the same order, so it gives the same bits, 2-3x faster on
-    blocks of 14 and up.  Double products stay on BLAS.
-    """
-    if np.result_type(A, B) != _XP:
-        return A @ B
-    if B.ndim == 1:
-        return np.vecdot(A, B)
-    return np.vecdot(A[..., :, None, :], np.swapaxes(B, -1, -2)[..., None, :, :])
-
-
 class _Form:
     """What the loop needs of one SdpStandardForm, set up once per solve.
 
@@ -722,7 +683,8 @@ class _Form:
         for blk in sf.blocks:
             by_size.setdefault(blk.size, []).append(blk)
         self.groups = [_SizeGroup(size, by_size[size], m) for size in sorted(by_size)]
-        self.E, self.ET = _Csr.of(sf.eq_mat), _Csr.of(sf.eq_mat.T.tocsr())
+        self.E = _Csr.of(sf.eq_mat)
+        self.ET = self.E.transposed()
         self.d = sf.eq_rhs
         self.data_scale = 1.0 + max(
             [float(np.abs(g.C).max()) for g in self.groups]
@@ -730,7 +692,7 @@ class _Form:
         )
         self.obj_scale = 1.0 + float(np.abs(self.c).max())
         self.ba = _BlockAngular(m, self.groups, sf.eq_mat)
-        # extended-precision Schur operator applications, over the solve
+        # Schur operator applications by the refinement, over the solve
         self.applies = 0
 
     def start(self):
@@ -806,11 +768,13 @@ class _Scaling:
 
     Near the optimum M spans far more than 1/eps, and the dual residual of
     a direction is the residual of the Newton equations, of size
-    eps |M| |dy| when M is formed and solved in double precision.  Without
-    strict complementarity |dy| shrinks only like sqrt(mu), so that error
-    grows as mu falls and caps the reachable gap.  Taking the residual in
-    extended precision and reducing it by a Krylov method preconditioned
-    with the double factorization removes it (`solve`).
+    eps |M| |dy| when M is assembled and factored.  Without strict
+    complementarity |dy| shrinks only like sqrt(mu), so that error grows
+    as mu falls and caps the reachable gap.  Taking the residual with the
+    operator itself, A*(W A(v) W) on BLAS, and reducing it by a Krylov
+    method preconditioned with the factorization removes most of it
+    (`solve`): GMRES-based iterative refinement, all in double precision
+    (Carson & Higham, SIAM J. Sci. Comput. 2017).
     """
 
     MAX_KRYLOV = 25
@@ -879,10 +843,7 @@ class _Scaling:
         """Newton direction (dy, dnu, dS, dX, Ds, Dx) for scaled targets Gt.
 
         In the NT-scaled space the linearized complementarity reads
-        Dx + Ds = Gt with Ds = R' dS R and Dx = R^-1 dX R^-T.  When the
-        Schur solve is refined, dy is longdouble, and dS and Ds (where
-        the large and small eigen-directions of W cancel) follow it
-        into extended precision before they are rounded back.
+        Dx + Ds = Gt with Ds = R' dS R and Dx = R^-1 dX R^-T.
         """
         rhs1 = -self.it.r_d
         for g, R, Rt, G, Rl in zip(self.groups, self.R, self.Rt, Gt, self.Rl_sc):
@@ -890,12 +851,11 @@ class _Scaling:
         dy, dnu = self.solve(rhs1)
         dS, dX, Ds, Dx = [], [], [], []
         for g, R, Rt, G, Rl in zip(self.groups, self.R, self.Rt, Gt, self.it.Rlmi):
-            dSg = _sym(g.lmi_step(dy) + Rl)
-            dS.append(dSg.astype(float, copy=False))
-            Ds.append(_sym(_matmul(_matmul(Rt, dSg), R)).astype(float, copy=False))
+            dS.append(_sym(g.lmi_step(dy) + Rl))
+            Ds.append(_sym(Rt @ dS[-1] @ R))
             Dx.append(G - Ds[-1])
             dX.append(_sym(R @ Dx[-1] @ Rt))
-        return dy.astype(float, copy=False), dnu, dS, dX, Ds, Dx
+        return dy, dnu, dS, dX, Ds, Dx
 
     def step_lengths(self, direction):
         """(ap, ad): fractions of the longest steps that keep S and X PSD."""
@@ -906,22 +866,20 @@ class _Scaling:
         return min(1.0, gamma * ap), min(1.0, gamma * ad)
 
     def apply(self, v):
-        """M v for a longdouble v; the double G and W widen exactly."""
+        """M v from G and W, without the assembled matrix."""
         self.it.form.applies += 1
-        out = np.zeros(len(v), dtype=_XP)
+        out = np.zeros(len(v))
         for g, W in zip(self.groups, self.W):
-            out += g.adjoint(_matmul(_matmul(W, g.lmi_step(v)), W))
+            out += g.adjoint(W @ g.lmi_step(v) @ W)
         return out
 
     def solve(self, rhs1):
         """(dy, dnu): M dy - E' dnu = rhs1 and E dy = r_e, to the target.
 
-        dy is longdouble exactly when the solve was refined, so that what
-        is computed from it stays in extended precision.  The
-        double-precision solve is kept when its rounding error bound
+        The factored solve is kept when its rounding error bound
         eps |M| |dy|_1 already meets the target (every early iteration).
-        Otherwise its residual is taken in extended precision and reduced
-        by right-preconditioned GMRES on null(E): GMRES minimizes the
+        Otherwise its residual is taken with `apply` and reduced by
+        right-preconditioned GMRES on null(E): GMRES minimizes the
         residual, which is what the step needs, and the double factor
         leaves only the few directions blurred by its shift for the Krylov
         space to resolve.  GMRES also stops once the residual is down to
@@ -937,8 +895,6 @@ class _Scaling:
         if factor.shift == 0.0 and max(bound, res) <= target:
             return dy, dnu
         project = factor.project
-        rhs1 = rhs1.astype(_XP)
-        dy = dy.astype(_XP)
         Mdy = self.apply(dy)
         res = project(rhs1 - Mdy)
         beta = float(np.sqrt(res @ res))
@@ -946,7 +902,7 @@ class _Scaling:
         H = np.zeros((self.MAX_KRYLOV + 1, self.MAX_KRYLOV))
         coef = np.zeros(0)
         for j in range(self.MAX_KRYLOV if beta > target else 0):
-            Z.append(factor.precond(V[j].astype(float)).astype(_XP))
+            Z.append(factor.precond(V[j]))
             MZ.append(self.apply(Z[j]))
             w = project(MZ[j])
             for _ in range(2):
@@ -963,8 +919,8 @@ class _Scaling:
                 break
             V.append(w / H[j + 1, j])
         for cf, zv, mzv in zip(coef, Z, MZ):
-            dy += _XP(cf) * zv
-            Mdy += _XP(cf) * mzv
+            dy += cf * zv
+            Mdy += cf * mzv
 
         return dy, factor.multipliers(Mdy - rhs1)
 
@@ -1029,7 +985,7 @@ def solve_internal(sf, tol=1e-8, max_iter=200):
     `_Iterate` holds a point with its residuals, and `_Scaling` assembles,
     factors and solves the Newton system of one iteration: per connected
     component of the variables, with the equality rows eliminated exactly
-    (`_BlockAngular`), and to extended accuracy near the optimum.
+    (`_BlockAngular`), and refined by GMRES near the optimum.
     Deterministic: fixed initialization and iteration rule, no randomness,
     and BLAS at one thread (`_one_blas_thread`).  Raises
     ProblemTooLargeError above the size cap (RATSOS_PSD_CAP overrides the

@@ -22,14 +22,16 @@ the same as without it, so `--compare` works alongside:
 
     PYTHONPATH=src python tests/fingerprint_rows.py --repeat 3 > rows.txt 2> times.txt
 
-The summed iterations and `krylov_applies` over the rows go to stderr
-as a last line, so a run states the totals a solver change is judged by.
+The summed iterations and `krylov_applies` over the rows, and how many
+rows ended in each status, go to stderr as a last line, so a run states
+the totals a solver change is judged by.
 
 It takes about a minute on one core, N times that with `--repeat N`.
 pytest does not collect this file.
 """
 
 import argparse
+import collections
 import hashlib
 import sys
 
@@ -75,12 +77,14 @@ def main():
     differ = False
     total = [0.0, 0.0]
     iterations = applies = 0
+    statuses = collections.Counter()
     for label, prob, method, k, order in rows():
         runs = [solve_relaxation(prob, method, k, ratio_order=order)
                 for _ in range(args.repeat or 1)]
         rep = runs[0].report
         iterations += rep.iterations
         applies += rep.krylov_applies
+        statuses[rep.status] += 1
         if args.repeat:
             build_s = min(r.build_ms for r in runs) / 1000.0
             solve_s = min(r.solve_ms for r in runs) / 1000.0
@@ -103,8 +107,9 @@ def main():
     if args.repeat:
         print(f"total build {total[0]:.4f} s solve {total[1]:.4f} s "
               f"(min of {args.repeat} per row)", file=sys.stderr)
-    print(f"total iterations {iterations} krylov_applies {applies}",
-          file=sys.stderr)
+    tally = " ".join(f"{status} {n}" for status, n in statuses.most_common())
+    print(f"total iterations {iterations} krylov_applies {applies} "
+          f"statuses {tally}", file=sys.stderr)
     return 1 if differ else 0
 
 

@@ -21,9 +21,10 @@ from ratsos.families import (
     gen_rand_srfo,
     gen_reznick_chain,
     gen_reznick_sparse_chain,
+    gen_rosenbrock_ratio,
     gen_unit_ball_mix,
 )
-from ratsos.problem import parse
+from ratsos.problem import parse, serialize
 from ratsos.relax import build, reported_bound, solve_relaxation
 from ratsos.sdp import (
     PsdBlockData,
@@ -671,15 +672,20 @@ class TestDirectKernels:
     they must equal scipy's own `@` bit for bit."""
 
     @pytest.fixture(scope="class")
-    def groups(self):
+    def form(self):
         # unit-ball-mix dense k=2: three 10x10 moment blocks and three 4x4
-        # localizing blocks, the latter given repeated entries
+        # localizing blocks, the latter given repeated entries, and
+        # equality rows, 20 of them linking
         rsdp = build(gen_unit_ball_mix(), "dense", 2)
         blocks = [repeated_entries(b) if kind == "localizing" else b
                   for b, kind in zip(rsdp.blocks, rsdp.block_kind)]
         sf = to_standard_form(rsdp)
         sf = SdpStandardForm(sf.num_vars, sf.objective, blocks, sf.eq_mat, sf.eq_rhs)
-        groups = {g.s: g for g in sdp._Form(sf).groups}
+        return sf, sdp._Form(sf)
+
+    @pytest.fixture(scope="class")
+    def groups(self, form):
+        groups = {g.s: g for g in form[1].groups}
         return {"moment": groups[10], "localizing": groups[4]}
 
     def test_repeated_entries_stay_apart(self, groups):
@@ -708,7 +714,7 @@ class TestDirectKernels:
                 assert np.array_equal(Fh @ T, scipy_csr(Fh) @ T)
 
     @pytest.mark.parametrize("kind", ["moment", "localizing"])
-    @pytest.mark.parametrize("dtype", [float, sdp._XP], ids=["double", "longdouble"])
+    @pytest.mark.parametrize("dtype", [float], ids=["double"])
     def test_g_y_and_gt_t(self, groups, kind, dtype):
         g = groups[kind]
         rng = seeded_rng(71)
@@ -719,62 +725,76 @@ class TestDirectKernels:
             assert got.dtype == dtype
             assert np.array_equal(got, scipy_csr(A) @ x)
 
+    def test_transposes_match_scipy(self, form, groups):
+        # G' and E' are sorted out of G's and E's own arrays; they must be
+        # the arrays of scipy's transpose, dtypes included
+        sf, form = form
+        assert sf.num_eq > 0
+        pairs = [(g.GT, scipy_csr(g.G).T.tocsr()) for g in groups.values()]
+        pairs.append((form.ET, sf.eq_mat.T.tocsr()))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            for a, b in [(got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)]:
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
 
 def wvw(W, V):
     """W V W per block, as `_Scaling.apply` forms it."""
-    return sdp._matmul(sdp._matmul(W, V), W)
+    return W @ V @ W
 
 
-class TestExtendedProducts:
-    @pytest.mark.parametrize("s", [1, 3, 14, 49])
-    def test_matmul_bit_identical(self, s, monkeypatch):
-        # vecdot adds the same rounded products in the same order as
-        # matmul's longdouble loop; a numpy upgrade must not change that
-        rng = seeded_rng(s)
-        W = rng.normal(size=(4, s, s))
-        V = rng.normal(size=(4, s, s)).astype(sdp._XP) / 3
-        Rt = np.transpose(W, (0, 2, 1))
-        for A, B in [(Rt, V), (W, V), (V, W)]:
-            got = sdp._matmul(A, B)
-            assert got.dtype == sdp._XP
-            assert np.array_equal(got, A @ B)
-        assert np.array_equal(wvw(W, V), W @ V @ W)
+class TestDoubleRefinement:
+    """The Newton system is refined in double precision, on BLAS."""
 
-        def no_vecdot(*args, **kwargs):
-            raise AssertionError("double operands go through BLAS")
+    def test_apply_is_double_schur_product(self):
+        # at the start the Schur matrix is known in closed form
+        # (`first_iterate_schur`); the refinement's operator must agree
+        sf = to_standard_form(build(gen_unit_ball_mix(), "dense", 2))
+        _, _, M = first_iterate_schur(sf)
+        scaling = sdp._Scaling(sdp._Form(sf).start())
+        v = seeded_rng(83).normal(size=sf.num_vars)
+        got = scaling.apply(v)
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - M @ v) <= 1e-12 * np.linalg.norm(M @ v)
 
-        monkeypatch.setattr(np, "vecdot", no_vecdot)
-        assert np.array_equal(sdp._matmul(Rt, W), Rt @ W)
+    def test_refinement_carries_a_row(self):
+        # the refinement fires on reznick-chain-M6-d2 signsym k=6 (a
+        # table2 row), and the row still ends optimal
+        run = solve_relaxation(gen_reznick_chain(6, 2), "signsym", 6)
+        rep = run.report
+        assert rep.status == "optimal", (rep.gap, rep.pinf, rep.dinf)
+        assert rep.krylov_applies > 0
 
-    def test_projection_in_extended_precision(self):
-        # the longdouble copies of the bases give the bits of numpy's matmul
-        # on the double bases, which casts them at every product
-        _, ba = schur_structure(to_standard_form(build(gen_unit_ball_mix(), "dense", 2)))
-        assert ba.r_I and ba.r_L
-        v = (seeded_rng(83).normal(size=ba.m) / 3).astype(sdp._XP)
-        want = v - ba.Q_I @ (ba.Q_I.T @ v)
-        want = want - ba.U @ (ba.U.T @ want)
-        got = ba.project(v)
-        assert got.dtype == sdp._XP
-        assert np.array_equal(got, want)
-        dnu = np.zeros(ba.nf)
-        dnu[ba.piv_L] = sdp._solve_upper(ba.R_L, np.asarray(ba.U.T @ v, dtype=float))
-        w = v - ba.E_L.T @ dnu[ba.piv_L]
-        dnu[ba.piv_I] = sdp._solve_upper(ba.R_I, np.asarray(ba.Q_I.T @ w, dtype=float))
-        assert np.array_equal(ba.multipliers(v), dnu)
+    @pytest.mark.parametrize("source", ["generator", "file"])
+    def test_valley_chain_bound(self, source):
+        # rosenbrock-ratio-N10, a maximization, as built and as read back
+        # from its file with the sense set as `--maximize` sets it: the
+        # bound must be ok() and an upper bound within 1e-6 relative
+        prob = gen_rosenbrock_ratio(10)
+        opt = prob.known_optimum
+        if source == "file":
+            prob = parse(serialize(prob))
+            assert not prob.maximize
+            prob.maximize = True
+        run = solve_relaxation(prob, "cs-signsym", 2)
+        assert run.report.ok(), run.report.status
+        assert opt <= run.bound <= opt + 1e-6 * max(1.0, abs(opt)), run.bound
 
     def test_wvw_benchmark(self, benchmark):
-        # times the longdouble W V W of `_Scaling.apply` on one group of
-        # three 49x49 blocks (`pytest --benchmark-only -k wvw`); asserts
-        # nothing about time
+        # times the W V W of `_Scaling.apply` on one group of three 49x49
+        # blocks (`pytest --benchmark-only -k wvw`); asserts nothing about
+        # time
         sf = to_standard_form(build(gen_reznick_sparse_chain(3, 2), "cs", 6))
         (g,), _ = schur_structure(sf)
         rng = seeded_rng(9)
         W = random_scaling(rng, g)
-        V = g.lmi_step(rng.normal(size=sf.num_vars).astype(sdp._XP) / 3)
+        V = g.lmi_step(rng.normal(size=sf.num_vars) / 3)
         got = benchmark.pedantic(wvw, args=(W, V), rounds=3)
-        assert g.s == 49 and V.dtype == sdp._XP
-        assert np.array_equal(got, W @ V @ W)
+        want = np.einsum("bij,bjk,bkl->bil", W, V, W)
+        assert g.s == 49 and got.dtype == np.float64
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestSdpaFormat:
