@@ -21,7 +21,6 @@ from .sdp import (
     SdpStandardForm,
     SolveReport,
     export_sdpa,
-    import_sdpa_solution,
     read_sdpa,
     solve_internal,
     to_standard_form,
@@ -57,7 +56,6 @@ __all__ = [
     "export_sdpa",
     "flatness_certificate",
     "grid_oracle",
-    "import_sdpa_solution",
     "in_closure",
     "min_order",
     "parse",

@@ -8,6 +8,7 @@ errors, 4 for build errors, 5 for solver errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -23,11 +24,21 @@ from .errors import (
     RatsosError,
     SolveError,
 )
-from .families import FAMILIES
+from .families import (
+    FAMILIES,
+    gen_motzkin_chain,
+    gen_overlap_chain,
+    gen_rand_srfo,
+    gen_reznick_chain,
+    gen_reznick_sparse_chain,
+    gen_rosenbrock_ratio,
+    gen_unit_ball_mix,
+)
+from .poly import full_basis
 from .problem import parse, serialize
 from .relax import METHODS, build, min_order, solve_relaxation
 from .sdp import export_sdpa, to_standard_form
-from .signsym import sign_symmetries, support_sets
+from .signsym import block_partition, global_support, sign_symmetries, support_sets
 
 EXIT_SOLVE_NOT_OK = 1
 EXIT_PARSE = 3
@@ -179,9 +190,6 @@ def cmd_analyze(args):
             f"measure {i + 1}: sign-symmetry rank {group.rank}"
             + (f", basis {{{', '.join(vecs)}}}" if vecs else "")
         )
-    from .signsym import block_partition, global_support
-    from .poly import full_basis
-
     gglobal = sign_symmetries(global_support(prob), n)
     lines.append(f"global group rank {gglobal.rank}")
     d_min = min_order(prob, "dense")
@@ -230,8 +238,6 @@ def cmd_gen(args):
         val = getattr(args, key, None)
         if val is not None:
             kwargs[key] = val
-    import inspect
-
     sig = inspect.signature(family)
     try:
         bound_args = {k: v for k, v in kwargs.items() if k in sig.parameters}
@@ -273,20 +279,10 @@ BENCH_TABLES = {
 
 
 def _bench_rows(table):
-    from .families import (
-        gen_motzkin_chain,
-        gen_rand_srfo,
-        gen_reznick_chain,
-        gen_reznick_sparse_chain,
-        gen_rosenbrock_ratio,
-        gen_overlap_chain,
-        gen_unit_ball_mix,
-    )
-
     if table == "table1":
         prob = gen_unit_ball_mix()
         rows = [(prob, "dense", k, None) for k in (2, 3)]
-        for case, order in ((1, None), (2, (1, 0, 2)), (3, (2, 0, 1))):
+        for order in (None, (1, 0, 2), (2, 0, 1)):
             rows += [(prob, "signsym", k, order) for k in (2, 3, 4)]
         return rows
     if table == "table2":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import CliqueStructureError
 from .poly import Polynomial
-from .problem import Constraint, SrfoProblem, diag_quadratic_pattern
+from .problem import Constraint, SrfoProblem, diag_quadratic_pattern, variable_bounds
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,6 @@ def _auto_radius(prob, clique):
             best = cand if best is None else min(best, cand)
     if best is not None:
         return best
-    from .problem import variable_bounds
-
     bounds = variable_bounds(prob)
     if all(bounds[v] is not None for v in clique):
         return sum(bounds[v] for v in clique)

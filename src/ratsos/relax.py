@@ -163,13 +163,6 @@ class QuotientReducer:
         return out
 
 
-def _expand(reducer, mono):
-    """A moment as kept-basis moments; itself when there is no reducer."""
-    if reducer is None:
-        return ((mono, 1.0),)
-    return reducer.reduce(mono)
-
-
 @dataclass
 class MeasureLayout:
     label: str
@@ -178,7 +171,7 @@ class MeasureLayout:
     offset: int
     index: dict
     q_scaled: Polynomial
-    reducer: QuotientReducer | None = None
+    reducer: QuotientReducer
 
     def __len__(self):
         return len(self.monomials)
@@ -225,7 +218,7 @@ class RelaxationSdp:
             for b in range(a, len(mb)):
                 val = 0.0
                 known = True
-                for m2, c2 in _expand(lay.reducer, mono_mul(beta, mb[b])):
+                for m2, c2 in lay.reducer.reduce(mono_mul(beta, mb[b])):
                     gid = lay.index.get(m2)
                     if gid is None:
                         known = False
@@ -293,12 +286,12 @@ class _Plan:
     q: Polynomial
     cons: list            # (g_scaled, equality, name)
     group: SignSymmetryGroup | None
-    reducer: QuotientReducer | None = None
+    reducer: QuotientReducer
 
     def keeps(self, mono):
         if self.group is not None and not in_closure(self.group, mono):
             return False
-        return self.reducer is None or self.reducer.is_kept(mono)
+        return self.reducer.is_kept(mono)
 
 
 def _scaled_plan(label, vars_, p, q, cons, group, tau):
@@ -322,8 +315,6 @@ def _scaled_plan(label, vars_, p, q, cons, group, tau):
         if e and reducer.try_add(g) is not None:
             continue
         kept_cons.append((g, e, nm))
-    if not reducer.relations:
-        reducer = None
     return _Plan(label, vars_, p, q, kept_cons, group, reducer)
 
 
@@ -334,10 +325,7 @@ def _block_basis(plan, nvars, order):
     T M~ T' with T of full column rank) and restores a strictly feasible
     moment block, which the full basis never has on an equality variety.
     """
-    full = basis(nvars, plan.vars, order)
-    if plan.reducer is None:
-        return list(full)
-    return [m for m in full if plan.reducer.is_kept(m)]
+    return [m for m in basis(nvars, plan.vars, order) if plan.reducer.is_kept(m)]
 
 
 def _emit_measure_blocks(rsdp, mi, plan, k, nvars):
@@ -375,7 +363,7 @@ def _emit_localizing(rsdp, mi, plan, terms, sub, name, kind):
     )
     # a zero alpha (the moment matrix's one term) shifts nothing
     terms = [(alpha if any(alpha) else None, ca) for alpha, ca in terms]
-    reducer = plan.reducer
+    reduce = plan.reducer.reduce
     for ci, cls in enumerate(classes):
         rows, cols, vids, coefs = [], [], [], []
         monos = [sub[i] for i in cls]
@@ -384,7 +372,7 @@ def _emit_localizing(rsdp, mi, plan, terms, sub, name, kind):
                 base = mono_mul(beta, monos[b])
                 for alpha, ca in terms:
                     mono = base if alpha is None else mono_mul(alpha, base)
-                    for m2, c2 in _expand(reducer, mono):
+                    for m2, c2 in reduce(mono):
                         rows.append(a)
                         cols.append(b)
                         vids.append(index[m2])
@@ -401,7 +389,7 @@ def _riesz_cols(lay, terms, alpha):
     given by its sorted terms."""
     acc = {}
     for delta, cf in terms:
-        for m2, c2 in _expand(lay.reducer, mono_mul(alpha, delta)):
+        for m2, c2 in lay.reducer.reduce(mono_mul(alpha, delta)):
             gid = lay.index[m2]
             acc[gid] = acc.get(gid, 0.0) + cf * c2
     cols = sorted(acc)
@@ -470,7 +458,7 @@ def _ratio_relaxation(prob, method, k, ratio_order):
     obj = np.zeros(rsdp.num_decision)
     for lay, plan in zip(rsdp.measures, plans):
         for mono, c in plan.p.sorted_terms():
-            for m2, c2 in _expand(plan.reducer, mono):
+            for m2, c2 in plan.reducer.reduce(mono):
                 obj[lay.index[m2]] += c * c2
     rsdp.objective = obj
 

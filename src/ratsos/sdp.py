@@ -25,7 +25,6 @@ import ctypes
 import functools
 import importlib
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,25 +349,16 @@ class _BlockAngular:
         order = np.argsort(lab, kind="stable")
         counts = np.bincount(np.searchsorted(labels, lab), minlength=len(labels))
         by_label = np.split(order, np.cumsum(counts)[:-1])
-        # components of equal size next to each other, so that each size
-        # class is one (K, s, s) stack of the flat buffer
+        # components in ascending size, the order `schur_blocks` reports
         by_size = np.argsort(counts, kind="stable")
         self.vars = [by_label[i] for i in by_size]
         self.sizes = counts = counts[by_size]
-        cuts = np.flatnonzero(np.diff(counts)) + 1
-        self.classes = [
-            (int(counts[k0]), k0, k1)
-            for k0, k1 in zip(np.r_[0, cuts], np.r_[cuts, len(counts)])
-        ]
         comp_of = np.empty(m, dtype=np.int64)
         self.local = np.empty(m, dtype=np.int64)
         for k, vs in enumerate(self.vars):
             comp_of[vs] = k
             self.local[vs] = np.arange(len(vs))
         self.offsets = np.concatenate([[0], np.cumsum(counts ** 2)])
-        self.class_vars = [
-            np.concatenate(self.vars[k0:k1]) for _, k0, k1 in self.classes
-        ]
         # per size group and block, (k, idx): the block's variable pairs
         # are views(buf)[k][idx], the whole matrix when the block's
         # variables are its component's in local order, an open mesh of
@@ -381,7 +371,9 @@ class _BlockAngular:
         # intra rows, per component
         Et = E.T.toarray()
         home_comp = comp_of[home]
-        Q, r_blocks, piv = [], [], []
+        # Q_k in the Fortran order of the QR factor, None without intra rows
+        self.Q = Q = []
+        r_blocks, piv = [], []
         for k, vs in enumerate(self.vars):
             rows = np.flatnonzero(~linking & (home_comp == k))
             Qk, Rk, pk = (
@@ -391,16 +383,6 @@ class _BlockAngular:
             if Qk is not None:
                 r_blocks.append(Rk)
                 piv.append(rows[pk])
-        # per size class, the Q_k stacked with zero columns up to the widest
-        # (they add nothing), each in Fortran order like the QR factor
-        self.Q = []
-        for n, k0, k1 in self.classes:
-            r = max([0] + [Qk.shape[1] for Qk in Q[k0:k1] if Qk is not None])
-            Qs = np.zeros((k1 - k0, r, n)).transpose(0, 2, 1) if r else None
-            for k, Qk in enumerate(Q[k0:k1]):
-                if Qk is not None:
-                    Qs[k, :, :Qk.shape[1]] = Qk
-            self.Q.append(Qs)
         self.r_I = sum(len(p) for p in piv)
         # Q_I in Fortran order like the QR factor itself, so that one
         # component takes the same BLAS paths as a dense elimination
@@ -433,10 +415,10 @@ class _BlockAngular:
             return k, slice(None)
         return k, np.ix_(loc, loc)
 
-    def views(self, buf, order="C"):
+    def views(self, buf):
         """Per-component square matrices backed by one flat buffer."""
         return [
-            buf[self.offsets[k]:self.offsets[k + 1]].reshape(n, n, order=order)
+            buf[self.offsets[k]:self.offsets[k + 1]].reshape(n, n)
             for k, n in enumerate(self.sizes)
         ]
 
@@ -554,36 +536,28 @@ class _BlockAngularFactor:
     With one component and no linking rows this is one dense
     factorization of the whole matrix.
 
-    `buf` holds the component matrices (`_BlockAngular.views`).  Equal-size
-    components are stacked and handled by batched products; only syr2k,
-    the Cholesky factorization and the triangular solves go component by
-    component, as LAPACK has no batched form of them in numpy or scipy.
+    `buf` holds the component matrices (`_BlockAngular.views`).  Each
+    component is restricted, factored and applied on its own, one loop
+    over the components.
     """
 
     def __init__(self, ba, buf):
         self.ba = ba
-        # restricted matrices in Fortran order, the layout LAPACK reads
-        tbuf = np.empty_like(buf)
-        Mt = ba.views(tbuf, order="F")
-        self.stacks = []
-        for (n, k0, k1), Qs in zip(ba.classes, ba.Q):
-            lo, hi = ba.offsets[k0], ba.offsets[k1]
-            Ms = buf[lo:hi].reshape(-1, n, n)
-            self.stacks.append(Ms)
-            tbuf[lo:hi].reshape(-1, n, n)[...] = Ms.transpose(0, 2, 1)
-            if Qs is not None:
+        self.M = ba.views(buf)
+        Mt = []
+        for Mk, Qk in zip(self.M, ba.Q):
+            # the restricted matrix in Fortran order, the layout LAPACK reads
+            Mtk = np.array(Mk, order="F")
+            if Qk is not None:
                 # P M P + g Q Q' = M + Q B' + B Q' with B = Q K / 2 - M Q,
                 # K = Q' M Q + g I and g the mean of diag(M); Cholesky reads
                 # the upper triangle only
-                MQ = Ms @ Qs
-                K = Qs.transpose(0, 2, 1) @ MQ
-                diag = np.diagonal(Ms, axis1=1, axis2=2)
-                r = np.arange(K.shape[-1])
-                K[:, r, r] += (np.add.reduce(diag, axis=1) / n)[:, None]
-                B = 0.5 * (Qs @ K) - MQ
-                for k in range(k1 - k0):
-                    _syr2k(1.0, Qs[k], B[k], beta=1.0, c=Mt[k0 + k],
-                           overwrite_c=True)
+                MQ = Mk @ Qk
+                K = Qk.T @ MQ
+                K[np.diag_indices_from(K)] += Mk.trace() / len(Mk)
+                B = 0.5 * (Qk @ K) - MQ
+                Mtk = _syr2k(1.0, Qk, B, beta=1.0, c=Mtk, overwrite_c=True)
+            Mt.append(Mtk)
         # a variable in no block is a component with a zero matrix; the
         # ladder still needs a scale for it
         scales = np.array([np.abs(np.diag(Mk)).max() for Mk in Mt])
@@ -609,8 +583,8 @@ class _BlockAngularFactor:
 
     def matvec(self, v):
         out = np.empty(len(v))
-        for (n, _, _), vs, Ms in zip(self.ba.classes, self.ba.class_vars, self.stacks):
-            out[vs] = (Ms @ v[vs].reshape(-1, n, 1)).ravel()
+        for vs, Mk in zip(self.ba.vars, self.M):
+            out[vs] = Mk @ v[vs]
         return out
 
     def precond(self, w):
@@ -1255,39 +1229,4 @@ def read_sdpa(path):
         blocks=blocks,
         eq_mat=sp.csr_matrix((data, (ri, ci)), shape=(len(eq_rows), mdim)),
         eq_rhs=np.asarray(rb, dtype=float),
-    )
-
-
-_PHASE_MAP = {
-    "pdOPT": "optimal",
-    "pdFEAS": "near_optimal",
-    "pFEAS": "numerical_issue",
-    "dFEAS": "numerical_issue",
-    "noINFO": "numerical_issue",
-    "pdINF": "infeasible",
-    "pINF_dFEAS": "infeasible",
-    "pINF_dUNBD": "infeasible",
-    "pUNBD_dINF": "unbounded",
-    "pFEAS_dINF": "unbounded",
-}
-
-
-def import_sdpa_solution(path):
-    """Read an SDPA output file; only objective values and phase are required."""
-    with open(path) as fh:
-        text = fh.read()
-    phase = re.search(r"phase\.value\s*=?\s*(\S+)", text)
-    primal = re.search(r"objValPrimal\s*=?\s*([-+0-9.eEdD]+)", text)
-    dual = re.search(r"objValDual\s*=?\s*([-+0-9.eEdD]+)", text)
-    if primal is None or dual is None:
-        raise SolveError(f"no objective values found in {path}")
-    pv = float(primal.group(1).replace("D", "e").replace("d", "e"))
-    dv = float(dual.group(1).replace("D", "e").replace("d", "e"))
-    status = _PHASE_MAP.get(phase.group(1), "numerical_issue") if phase else "numerical_issue"
-    return SolveReport(
-        status=status,
-        primal=pv,
-        dual=dv,
-        gap=abs(pv - dv) / (1.0 + abs(pv) + abs(dv)),
-        iterations=0,
     )

@@ -22,9 +22,10 @@ the same as without it, so `--compare` works alongside:
 
     PYTHONPATH=src python tests/fingerprint_rows.py --repeat 3 > rows.txt 2> times.txt
 
-The summed iterations and `krylov_applies` over the rows, and how many
-rows ended in each status, go to stderr as a last line, so a run states
-the totals a solver change is judged by.
+The summed iterations and `krylov_applies` over the rows, how many rows
+ended in each status and the summed line count of `src/ratsos/*.py` go to
+stderr as a last line, so a run states the totals a solver change is
+judged by, and the code size next to them.
 
 It takes about a minute on one core, N times that with `--repeat N`.
 pytest does not collect this file.
@@ -33,8 +34,10 @@ pytest does not collect this file.
 import argparse
 import collections
 import hashlib
+import pathlib
 import sys
 
+import ratsos
 from ratsos.cli import BENCH_TABLES, _bench_rows
 from ratsos.families import gen_rand_srfo
 from ratsos.relax import solve_relaxation
@@ -56,6 +59,12 @@ def rows():
         prob = gen_rand_srfo(6, 4, 3, 0.2, seed)
         for method in ("dense", "signsym"):
             yield f"srfo{seed}:{method}:3", prob, method, 3, None
+
+
+def src_lines():
+    """Summed line count of the imported package's sources, as `wc -l` counts."""
+    src = pathlib.Path(ratsos.__file__).parent
+    return sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
 
 
 def main():
@@ -109,7 +118,7 @@ def main():
               f"(min of {args.repeat} per row)", file=sys.stderr)
     tally = " ".join(f"{status} {n}" for status, n in statuses.most_common())
     print(f"total iterations {iterations} krylov_applies {applies} "
-          f"statuses {tally}", file=sys.stderr)
+          f"statuses {tally} src_lines {src_lines()}", file=sys.stderr)
     return 1 if differ else 0
 
 

@@ -30,7 +30,6 @@ from ratsos.sdp import (
     PsdBlockData,
     SdpStandardForm,
     export_sdpa,
-    import_sdpa_solution,
     psd_block,
     read_sdpa,
     solve_internal,
@@ -470,6 +469,28 @@ class TestBlockAngularNewton:
         if method == "cs":
             # one intra row per measure, nothing linking them
             assert ba.r_I == sf.num_eq == len(sizes)
+
+    @pytest.mark.parametrize("m, rows, rhs, c, value", [
+        # min z s.t. z - x = 0, [[x, 1], [1, x]] PSD
+        (2, [[-1.0, 1.0]], [0.0], [0.0, 1.0], 1.0),
+        # min z1 + z2 s.t. z1 + z2 = 2x, z1 = z2 and the same block
+        (3, [[-2.0, 1.0, 1.0], [0.0, 1.0, -1.0]], [0.0, 0.0], [0.0, 1.0, 1.0], 2.0),
+    ], ids=["one-free", "two-free"])
+    def test_variable_in_no_block_is_a_zero_component(self, m, rows, rhs, c, value):
+        # each z lies in no PSD block: its component is a 1x1 zero matrix,
+        # which the shift ladder scales by 1 in place of its zero diagonal
+        blk = psd_block("X", 2, [0, 1], [0, 1], [0, 0], [1.0, 1.0], [0], [1], [1.0])
+        sf = SdpStandardForm(num_vars=m, objective=np.array(c), blocks=[blk],
+                             eq_mat=sp.csr_matrix(rows), eq_rhs=np.array(rhs))
+        _, ba = schur_structure(sf)
+        assert ba.r_L > 0
+        rep = solve_internal(sf, tol=1e-8)
+        assert rep.status == "optimal"
+        # tol bounds the gap relative to 1 + |primal| + |dual|
+        slack = 1e-8 * (1.0 + 2.0 * value)
+        assert rep.primal == pytest.approx(value, abs=slack)
+        assert rep.dual == pytest.approx(value, abs=slack)
+        assert rep.schur_blocks == (1,) * m
 
     @pytest.mark.parametrize("prob, method, k", [
         (gen_reznick_chain(6, 2), "signsym", 6),
@@ -925,33 +946,6 @@ class TestSdpaFormat:
         text = path.read_text()
         assert "0.33333333333333331" in text
         assert float(text.splitlines()[3]) == 0.1
-
-    def test_import_solution(self, tmp_path):
-        out = tmp_path / "sol.out"
-        out.write_text(
-            "phase.value  = pdOPT\n"
-            "   objValPrimal = +1.2345678901e+01\n"
-            "   objValDual   = +1.2345678900e+01\n"
-            "xVec = {1.0}\n"
-        )
-        rep = import_sdpa_solution(str(out))
-        assert rep.status == "optimal"
-        assert rep.primal == pytest.approx(12.345678901)
-        assert rep.dual == pytest.approx(12.3456789)
-
-    def test_import_numerical_phase(self, tmp_path):
-        out = tmp_path / "sol.out"
-        out.write_text(
-            "phase.value = noINFO\nobjValPrimal = 1.0\nobjValDual = 0.5\n"
-        )
-        rep = import_sdpa_solution(str(out))
-        assert rep.status == "numerical_issue"
-
-    def test_import_missing_values(self, tmp_path):
-        out = tmp_path / "sol.out"
-        out.write_text("nothing useful\n")
-        with pytest.raises(SolveError):
-            import_sdpa_solution(str(out))
 
 
 def pool_counts():
