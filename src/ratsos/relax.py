@@ -657,6 +657,8 @@ def solve_relaxation(
     certified = False
     if report.ok() and method in ("dense", "signsym"):
         certified = bool(flatness_certificate(rsdp, report, rank_tol))
+    # the solver minimizes; the values go back to the objective's sense
+    sign = -1.0 if prob.maximize else 1.0
     return RunResult(
         problem=prob,
         method=method,
@@ -664,8 +666,8 @@ def solve_relaxation(
         rsdp=rsdp,
         report=report,
         bound=reported_bound(report, prob.maximize) if report.ok() else float("nan"),
-        primal=report.primal,
-        dual=report.dual,
+        primal=sign * report.primal,
+        dual=sign * report.dual,
         certified=certified,
         build_ms=build_ms,
         solve_ms=solve_ms,

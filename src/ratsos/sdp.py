@@ -23,21 +23,52 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import importlib
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.blas import dsyr2k as _syr2k
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs, dtrtrs as _trtrs
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 
 from .errors import ProblemTooLargeError, SolveError
 
 DEFAULT_PSD_CAP = 3000
+
+
+def _scipy_extension(name):
+    """scipy's compiled module `scipy.<name>`, loaded from its own file.
+
+    No `__init__` of a scipy package runs: those of `scipy.linalg` and
+    `scipy.sparse` cost more start-up than the whole solve of a small
+    problem.  The module is registered under its full name, so a later
+    `import scipy.linalg` reuses this module object.  A missing file raises
+    ImportError naming the path looked for.
+    """
+    full = "scipy." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    base = os.path.join(os.path.dirname(spec.origin), *name.split("."))
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((base + s for s in suffixes if os.path.isfile(base + s)), None)
+    if path is None:
+        raise ImportError(f"no compiled module {full} at {base}{suffixes[0]}")
+    spec = importlib.util.spec_from_file_location(full, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _scipy_extension("linalg._flapack")
+_fblas = _scipy_extension("linalg._fblas")
+_sparsetools = _scipy_extension("sparse._sparsetools")
+_potrf, _potrs, _trtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
+_syr2k = _fblas.dsyr2k
+_csr_matvec, _csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
 
 
 @dataclass
@@ -75,21 +106,25 @@ def psd_block(label, size, rows, cols, vids, coefs,
 class SdpStandardForm:
     """min c'y s.t. E y = d and every block's LMI PSD, in solver form.
 
-    E is always a CSR matrix and d an array: a form with no equality rows
-    has an E of 0 rows and d = zeros(0), which `__post_init__` fills in when
-    they are left out.
+    E is always the solver's `_Csr` and d an array: a scipy sparse matrix
+    passed as E is converted through its `tocsr()`, and a form with no
+    equality rows has an E of 0 rows and d = zeros(0), which
+    `__post_init__` fills in when they are left out.
     """
 
     num_vars: int
     objective: np.ndarray
     blocks: list
-    eq_mat: sp.csr_matrix = None
+    eq_mat: _Csr = None
     eq_rhs: np.ndarray = None
 
     def __post_init__(self):
         if self.eq_mat is None:
-            self.eq_mat, self.eq_rhs = sp.csr_matrix((0, self.num_vars)), np.zeros(0)
-        self.eq_mat = sp.csr_matrix(self.eq_mat)
+            self.eq_mat = _coo_to_csr((), (), (), (0, self.num_vars))
+            self.eq_rhs = np.zeros(0)
+        elif not isinstance(self.eq_mat, _Csr):
+            A = self.eq_mat.tocsr()
+            self.eq_mat = _Csr(A.indptr, A.indices, A.data, A.shape[1])
 
     @property
     def num_eq(self):
@@ -140,9 +175,7 @@ def to_standard_form(rsdp):
         num_vars=rsdp.num_decision,
         objective=np.asarray(rsdp.objective, dtype=float).copy(),
         blocks=list(rsdp.blocks),
-        eq_mat=sp.csr_matrix(
-            (data, (ri, ci)), shape=(len(rsdp.eq_rows), rsdp.num_decision)
-        ),
+        eq_mat=_coo_to_csr(data, ri, ci, (len(rsdp.eq_rows), rsdp.num_decision)),
         eq_rhs=np.asarray(rb, dtype=float),
     )
 
@@ -182,10 +215,12 @@ class _Csr:
         self.indptr, self.indices, self.data = indptr, indices, data
         self.shape = (len(indptr) - 1, ncols)
 
-    @classmethod
-    def of(cls, A):
-        """The arrays of a scipy CSR matrix, as they are."""
-        return cls(A.indptr, A.indices, A.data, A.shape[1])
+    def toarray(self):
+        """The dense matrix, repeated entries summed, as scipy's `toarray()`."""
+        out = np.zeros(self.shape, self.data.dtype)
+        _sparsetools.csr_todense(*self.shape, self.indptr, self.indices, self.data,
+                                 out)
+        return out
 
     def transposed(self):
         """The transpose, for an indptr starting at 0: the arrays of scipy's
@@ -205,6 +240,32 @@ class _Csr:
             _csr_matvecs(rows, cols, x.shape[1], self.indptr, self.indices,
                          self.data, x.ravel(), out.ravel())
         return out
+
+
+def _coo_to_csr(data, rows, cols, shape):
+    """scipy's `csr_matrix((data, (rows, cols)), shape)` as a `_Csr`.
+
+    The kernels `coo_matrix.tocsr()` runs, on the arrays it passes them:
+    `coo_tocsr` groups the entries by row in their given order, and unless
+    the result is canonical (each row's columns strictly increasing) the
+    rows are sorted and their repeated entries summed.  The indices are
+    int32 where that holds them, as scipy stores them.
+    """
+    nrows, ncols = shape
+    data = np.asarray(data)
+    nnz = len(data)
+    index = np.int32 if max(nrows, ncols, nnz) < 2 ** 31 else np.int64
+    rows, cols = np.asarray(rows, dtype=index), np.asarray(cols, dtype=index)
+    indptr, indices = np.empty(nrows + 1, index), np.empty(nnz, index)
+    vals = np.empty_like(data)
+    _sparsetools.coo_tocsr(nrows, ncols, nnz, rows, cols, data, indptr, indices, vals)
+    if not _sparsetools.csr_has_canonical_format(nrows, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(nrows, indptr, indices):
+            _sparsetools.csr_sort_indices(nrows, indptr, indices, vals)
+        _sparsetools.csr_sum_duplicates(nrows, ncols, indptr, indices, vals)
+        nnz = indptr[-1]
+        indices, vals = indices[:nnz], vals[:nnz]
+    return _Csr(indptr, indices, vals, ncols)
 
 
 def _csr_arrays(rows, cols, vals, nrows):
@@ -250,8 +311,7 @@ class _SizeGroup:
         self.vars_list = np.split(uniq % m, n_off[1:-1])
         local -= n_off[b]
         fi, fk, fb, fv, fl, fa = _mirrored(r, c, b, v, local, a)
-        G = sp.csr_matrix((fa, (fb * ss + fi * s + fk, fv)), shape=(B * ss, m))
-        self.G = _Csr.of(G)
+        self.G = _coo_to_csr(fa, fb * ss + fi * s + fk, fv, (B * ss, m))
         self.GT = self.G.transposed()
         ptr, idx, val = _csr_arrays(s * n_off[fb] + fi * n[fb] + fl, fk, fa,
                                     s * n_off[-1])
@@ -320,7 +380,7 @@ class _BlockAngular:
     """
 
     def __init__(self, m, groups, E):
-        """E: the equality rows as CSR, 0 rows when there are none."""
+        """E: the equality rows as a `_Csr`, 0 rows when there are none."""
         self.m = m
         self.nf = E.shape[0]
         # each variable's label is the smallest variable of its component:
@@ -368,12 +428,13 @@ class _BlockAngular:
             for g in groups
         ]
 
-        # intra rows, per component
-        Et = E.T.toarray()
+        # intra rows, per component; E' dense in Fortran order, as scipy's
+        # `E.T.toarray()` lays it out
+        Et = E.toarray().T
         home_comp = comp_of[home]
         # Q_k in the Fortran order of the QR factor, None without intra rows
         self.Q = Q = []
-        r_blocks, piv = [], []
+        intra, piv = [], []
         for k, vs in enumerate(self.vars):
             rows = np.flatnonzero(~linking & (home_comp == k))
             Qk, Rk, pk = (
@@ -381,19 +442,21 @@ class _BlockAngular:
             )
             Q.append(Qk)
             if Qk is not None:
-                r_blocks.append(Rk)
+                intra.append((vs, Qk, Rk))
                 piv.append(rows[pk])
         self.r_I = sum(len(p) for p in piv)
         # Q_I in Fortran order like the QR factor itself, so that one
-        # component takes the same BLAS paths as a dense elimination
+        # component takes the same BLAS paths as a dense elimination; R_I
+        # block-diagonal in C order
         self.Q_I = np.zeros((m, self.r_I), order="F")
+        self.R_I = np.zeros((self.r_I, self.r_I))
         col = 0
-        for vs, Qk in zip(self.vars, Q):
-            if Qk is not None:
-                self.Q_I[vs, col:col + Qk.shape[1]] = Qk
-                col += Qk.shape[1]
+        for vs, Qk, Rk in intra:
+            end = col + len(Rk)
+            self.Q_I[vs, col:end] = Qk
+            self.R_I[col:end, col:end] = Rk
+            col = end
         if self.r_I:
-            self.R_I = sla.block_diag(*r_blocks)
             self.piv_I = np.concatenate(piv)
 
         # linking rows, one correction for all components
@@ -462,7 +525,7 @@ def _check_finite(b):
 def _solve_upper(R, b, trans=0):
     """x with R x = b (trans=0) or R' x = b (trans=1), R upper triangular.
 
-    `sla.solve_triangular` by scipy's own rule, with only its finiteness
+    scipy's `solve_triangular` by its own rule, with only its finiteness
     check on b kept: LAPACK reads R in Fortran order, so a C-ordered R
     goes in as the lower triangular R' with the transpose flag flipped.
     That rule, and not only the system solved, fixes the bits of x.
@@ -482,11 +545,34 @@ def _trtrs_upper(R, b, trans):
     return x
 
 
+def _lapack(f, *args, **kwargs):
+    """scipy's `safecall`: f's workspace query (lwork=-1), then f with the
+    optimal workspace; the outputs without work and info."""
+    kwargs["lwork"] = -1
+    kwargs["lwork"] = f(*args, **kwargs)[-2][0].real.astype(np.int_)
+    ret = f(*args, **kwargs)
+    if ret[-1] < 0:
+        raise ValueError(f"illegal value in argument {-ret[-1]} of {f.__name__}")
+    return ret[:-2]
+
+
 def _pivoted_qr(At):
-    """(Q1, R11, piv) of At[:, piv] = Q1 [R11 R12], rank-revealing."""
-    Q, R, piv = sla.qr(At, mode="economic", pivoting=True)
+    """(Q1, R11, piv) of At[:, piv] = Q1 [R11 R12], rank-revealing.
+
+    scipy's `qr(At, mode="economic", pivoting=True)` step by step, so its
+    bits: the finiteness check, `dgeqp3` with 0-based pivots, then
+    `dorgqr` on the factor's leading min(M, N) columns.
+    """
+    a = np.asarray_chkfinite(At)
+    M, N = a.shape
+    if not a.size:
+        return None, None, None
+    qr, piv, tau = _lapack(_flapack.dgeqp3, a, overwrite_a=False)
+    piv -= 1
+    R = np.triu(qr if M < N else qr[:N])
+    Q, = _lapack(_flapack.dorgqr, qr[:, :M] if M < N else qr, tau, overwrite_a=1)
     diag = np.abs(np.diag(R))
-    r = int((diag > 1e-12 * diag[0]).sum()) if diag.size else 0
+    r = int((diag > 1e-12 * diag[0]).sum())
     if not r:
         return None, None, None
     return Q[:, :r], R[:r, :r], piv[:r]
@@ -657,7 +743,7 @@ class _Form:
         for blk in sf.blocks:
             by_size.setdefault(blk.size, []).append(blk)
         self.groups = [_SizeGroup(size, by_size[size], m) for size in sorted(by_size)]
-        self.E = _Csr.of(sf.eq_mat)
+        self.E = sf.eq_mat
         self.ET = self.E.transposed()
         self.d = sf.eq_rhs
         self.data_scale = 1.0 + max(
@@ -665,7 +751,7 @@ class _Form:
             + [float(np.abs(self.d).max(initial=0.0))]
         )
         self.obj_scale = 1.0 + float(np.abs(self.c).max())
-        self.ba = _BlockAngular(m, self.groups, sf.eq_mat)
+        self.ba = _BlockAngular(m, self.groups, self.E)
         # Schur operator applications by the refinement, over the solve
         self.applies = 0
 
@@ -900,10 +986,11 @@ class _Scaling:
 
 
 # The OpenBLAS builds numpy and scipy each carry, with a thread pool each:
-# a module linked against the library, and the suffix of its symbols.
+# a loaded module linked against the library (numpy's core, and the `_fblas`
+# loaded above), and the suffix of its symbols.
 _OPENBLAS = {
-    "numpy": ("numpy._core._multiarray_umath", "64_"),
-    "scipy": ("scipy.linalg._fblas", ""),
+    "numpy": (np._core._multiarray_umath, "64_"),
+    "scipy": (_fblas, ""),
 }
 
 
@@ -919,10 +1006,10 @@ def _blas_pools():
     pools = {}
     for name, (module, suffix) in _OPENBLAS.items():
         try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            lib = ctypes.CDLL(module.__file__)
             get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
             put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-        except (ImportError, OSError, AttributeError):
+        except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
@@ -935,7 +1022,8 @@ def _one_blas_thread():
     """Every OpenBLAS pool at one thread inside, the old counts restored after.
 
     The solve makes many small BLAS and LAPACK calls, which lose to thread
-    start-up and to the hand-over between numpy's pool and scipy's; one
+    start-up and to the hand-over between numpy's pool and scipy's (the
+    one `_flapack` and `_fblas` link, found without scipy's packages); one
     thread also makes the rounding independent of the core count.  The
     counts are process-wide and unlocked: ratsos never solves concurrently.
     """
@@ -1080,8 +1168,9 @@ def export_sdpa(sf, path):
         entries += [(*key, v) for key, v in agg.items() if v != 0.0]
 
     offset = len(ones)
-    coo = sf.eq_mat.tocoo()
-    for r, ccol, v in zip(coo.row, coo.col, coo.data):
+    E = sf.eq_mat
+    rows = np.repeat(np.arange(E.shape[0]), np.diff(E.indptr))
+    for r, ccol, v in zip(rows, E.indices, E.data):
         if v == 0.0:
             continue
         p_plus = offset + 2 * int(r) + 1
@@ -1227,6 +1316,6 @@ def read_sdpa(path):
         num_vars=mdim,
         objective=cvec,
         blocks=blocks,
-        eq_mat=sp.csr_matrix((data, (ri, ci)), shape=(len(eq_rows), mdim)),
+        eq_mat=_coo_to_csr(data, ri, ci, (len(eq_rows), mdim)),
         eq_rhs=np.asarray(rb, dtype=float),
     )

@@ -23,9 +23,11 @@ the same as without it, so `--compare` works alongside:
     PYTHONPATH=src python tests/fingerprint_rows.py --repeat 3 > rows.txt 2> times.txt
 
 The summed iterations and `krylov_applies` over the rows, how many rows
-ended in each status and the summed line count of `src/ratsos/*.py` go to
-stderr as a last line, so a run states the totals a solver change is
-judged by, and the code size next to them.
+ended in each status, the summed line count of `src/ratsos/*.py` and
+`import_s`, the least of three fresh-interpreter timings of
+`import ratsos.cli` in seconds, go to stderr as a last line, so a run
+states the totals a solver change is judged by, and the code size and
+start-up cost next to them.
 
 It takes about a minute on one core, N times that with `--repeat N`.
 pytest does not collect this file.
@@ -35,6 +37,7 @@ import argparse
 import collections
 import hashlib
 import pathlib
+import subprocess
 import sys
 
 import ratsos
@@ -65,6 +68,23 @@ def src_lines():
     """Summed line count of the imported package's sources, as `wc -l` counts."""
     src = pathlib.Path(ratsos.__file__).parent
     return sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+
+
+# times `import ratsos.cli` in a fresh interpreter, its own start-up excluded
+IMPORT_PROBE = (
+    "import sys, time; sys.path[:0] = sys.argv[1:]; t = time.perf_counter(); "
+    "import ratsos.cli; print(time.perf_counter() - t)"
+)
+
+
+def import_s(repeats=3):
+    """Least of `repeats` fresh-interpreter timings of `import ratsos.cli`."""
+    src = str(pathlib.Path(ratsos.__file__).resolve().parents[1])
+    return min(
+        float(subprocess.run([sys.executable, "-c", IMPORT_PROBE, src],
+                             capture_output=True, text=True, check=True).stdout)
+        for _ in range(repeats)
+    )
 
 
 def main():
@@ -118,7 +138,8 @@ def main():
               f"(min of {args.repeat} per row)", file=sys.stderr)
     tally = " ".join(f"{status} {n}" for status, n in statuses.most_common())
     print(f"total iterations {iterations} krylov_applies {applies} "
-          f"statuses {tally} src_lines {src_lines()}", file=sys.stderr)
+          f"statuses {tally} src_lines {src_lines()} import_s {import_s():.3f}",
+          file=sys.stderr)
     return 1 if differ else 0
 
 

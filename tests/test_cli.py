@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ratsos
 from ratsos import relax
 from ratsos.cli import EXIT_BUILD, EXIT_PARSE, EXIT_SOLVE_NOT_OK, main
-from ratsos.families import gen_unit_ball_mix
+from ratsos.families import gen_rosenbrock_ratio, gen_unit_ball_mix
 from ratsos.problem import parse, serialize
 from ratsos.sdp import SolveReport, to_standard_form
 
@@ -152,6 +157,41 @@ class TestSolve:
         )
         assert code == 0
         assert payload["bound"] == pytest.approx(2.0, abs=1e-6)
+
+    def test_maximize_values_in_objective_sense(self, capsys, tmp_path):
+        # the bench row: bound, primal and dual all upper estimates of the
+        # maximum 10, none of them in the solver's minimization sign
+        f = tmp_path / "rosenbrock.srfo"
+        f.write_text(serialize(gen_rosenbrock_ratio(10)))
+        code, payload = run_json(capsys, ["solve", str(f), "--method", "cs-signsym",
+                                          "--order", "2", "--maximize"])
+        assert code == 0
+        for key in ("bound", "primal", "dual"):
+            assert payload[key] == pytest.approx(10.0, abs=1e-6), key
+
+    def test_solve_loads_no_scipy_package(self, ball_mix_file, tmp_path):
+        # a fresh interpreter: only scipy's three compiled modules are loaded
+        script = (
+            "import sys\n"
+            "from ratsos import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(code)\n"
+        )
+        out = tmp_path / "res.json"
+        src = str(Path(ratsos.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "solve", ball_mix_file, "--order", "2",
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(sorted([
+            "scipy.linalg._flapack", "scipy.linalg._fblas", "scipy.sparse._sparsetools",
+        ]))
+        assert json.loads(out.read_text())["status"] == "optimal"
 
     def test_out_file(self, capsys, trivial_file, tmp_path):
         target = tmp_path / "res.json"

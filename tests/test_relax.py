@@ -28,7 +28,7 @@ from ratsos.relax import (
 )
 from ratsos.sdp import solve_internal, to_standard_form
 from ratsos.signsym import in_closure, sign_symmetries, support_sets
-from util import seeded_rng
+from util import scipy_csr, seeded_rng
 
 
 def count_builds(monkeypatch):
@@ -425,7 +425,7 @@ class TestPresolve:
         # an exact copy and a scaled copy of one equality row make E rank
         # deficient; the solver gives the dependent rows zero multipliers
         sf = to_standard_form(build(gen_reznick_sparse_chain(2, 1), "cs", 3))
-        E, d = sf.eq_mat, sf.eq_rhs
+        E, d = scipy_csr(sf.eq_mat), sf.eq_rhs
         r = E.shape[0] - 1
         more = dataclasses.replace(
             sf,

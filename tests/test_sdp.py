@@ -1,6 +1,10 @@
+import importlib
+import importlib.util
 import os
+import re
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -35,7 +39,7 @@ from ratsos.sdp import (
     solve_internal,
     to_standard_form,
 )
-from util import seeded_rng
+from util import scipy_csr, seeded_rng
 
 
 def trivial_sdp():
@@ -321,14 +325,6 @@ class TestInternalSolver:
         assert abs(reported_bound(rep) - 5.0) <= 1e-6, (reported_bound(rep), facts)
 
 
-def scipy_csr(A):
-    """The scipy CSR matrix of a solver `_Csr`: A's entries in A's order,
-    with the row pointer rebased to start at 0, as scipy requires."""
-    lo, hi = A.indptr[0], A.indptr[-1]
-    return sp.csr_matrix((A.data[lo:hi], A.indices[lo:hi], A.indptr - lo),
-                         shape=A.shape)
-
-
 def schur_structure(sf):
     """Size groups and block-angular structure, as `solve_internal` sets them up."""
     form = sdp._Form(sf)
@@ -397,7 +393,7 @@ def dense_reference_factor(E):
     P M P + g Q1 Q1' with the same shift ladder.  It takes the place of
     `sdp._BlockAngularFactor` for a problem with one component.
     """
-    Q, R, piv = sla.qr(E.T.toarray(), mode="economic", pivoting=True)
+    Q, R, piv = sla.qr(scipy_csr(E).T.toarray(), mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     r = int((diag > 1e-12 * diag[0]).sum())
     Q1, R11 = Q[:, :r], R[:r, :r]
@@ -752,7 +748,7 @@ class TestDirectKernels:
         sf, form = form
         assert sf.num_eq > 0
         pairs = [(g.GT, scipy_csr(g.G).T.tocsr()) for g in groups.values()]
-        pairs.append((form.ET, sf.eq_mat.T.tocsr()))
+        pairs.append((form.ET, scipy_csr(sf.eq_mat).T.tocsr()))
         for got, want in pairs:
             assert got.shape == want.shape
             for a, b in [(got.indptr, want.indptr), (got.indices, want.indices),
@@ -764,6 +760,84 @@ class TestDirectKernels:
 def wvw(W, V):
     """W V W per block, as `_Scaling.apply` forms it."""
     return W @ V @ W
+
+
+class TestScipyExtensions:
+    """scipy's compiled modules, loaded without its packages, and the steps
+    of scipy's own functions rebuilt on them, bit for bit."""
+
+    @staticmethod
+    def qr_reference(At):
+        Q, R, piv = sla.qr(At, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        r = int((diag > 1e-12 * diag[0]).sum())
+        return Q[:, :r], R[:r, :r], piv[:r]
+
+    def assert_qr_matches(self, At):
+        got, want = sdp._pivoted_qr(At), self.qr_reference(At)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.f_contiguous == b.flags.f_contiguous
+            assert np.array_equal(a, b)
+
+    def test_pivoted_qr_on_intra_and_linking_rows(self, monkeypatch):
+        # unit-ball-mix dense k=2: three components, intra rows in one of
+        # them, and 20 linking rows
+        seen = []
+        qr = sdp._pivoted_qr
+        monkeypatch.setattr(sdp, "_pivoted_qr", lambda At: seen.append(At) or qr(At))
+        ba = sdp._Form(to_standard_form(build(gen_unit_ball_mix(), "dense", 2))).ba
+        monkeypatch.undo()
+        assert ba.r_I > 0 and ba.r_L > 0
+        assert len(seen) == sum(Q is not None for Q in ba.Q) + 1 == 2
+        for At in seen:
+            self.assert_qr_matches(At)
+
+    @pytest.mark.parametrize("shape", [(12, 7), (5, 9)], ids=["tall", "wide"])
+    def test_pivoted_qr_rank_deficient(self, shape):
+        rng = seeded_rng(83)
+        At = rng.normal(size=(shape[0], 4)) @ rng.normal(size=(4, shape[1]))
+        assert len(sdp._pivoted_qr(At)[2]) == 4
+        self.assert_qr_matches(At)
+
+    def test_pivoted_qr_wide_full_rank(self):
+        self.assert_qr_matches(seeded_rng(89).normal(size=(3, 8)))
+
+    @pytest.mark.parametrize("rows, cols, shape", [
+        ([2, 0, 2, 0, 2, 3], [3, 1, 3, 0, 0, 4], (5, 6)),  # repeats, unsorted
+        ([1, 1, 0], [4, 2, 3], (3, 5)),                    # unsorted, no repeats
+        ([0, 0, 2], [1, 3, 0], (4, 4)),                    # canonical
+        ([], [], (3, 4)),                                  # nnz = 0
+    ], ids=["duplicates", "unsorted", "canonical", "empty"])
+    def test_coo_to_csr_matches_scipy(self, rows, cols, shape):
+        data = [0.1 * (i + 1) + 1e-17 * i for i in range(len(rows))]
+        got = sdp._coo_to_csr(data, rows, cols, shape)
+        want = sp.csr_matrix((data, (rows, cols)), shape=shape)
+        assert got.shape == want.shape
+        for a, b in [(got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)]:
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.toarray(), want.toarray())
+
+    def test_missing_extension_names_its_path(self, monkeypatch, tmp_path):
+        find_spec = importlib.util.find_spec
+        fake = types.SimpleNamespace(origin=str(tmp_path / "scipy" / "__init__.py"))
+
+        def fake_find_spec(name, *args):
+            return fake if name == "scipy" else find_spec(name, *args)
+
+        monkeypatch.setattr(importlib.util, "find_spec", fake_find_spec)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        path = str(tmp_path / "scipy" / "linalg" / "_flapack")
+        with pytest.raises(ImportError, match=re.escape(path)):
+            sdp._scipy_extension("linalg._flapack")
+
+    def test_scipy_packages_reuse_the_loaded_modules(self):
+        for module in (sdp._flapack, sdp._fblas, sdp._sparsetools):
+            assert importlib.import_module(module.__name__) is module
+        assert sla.lapack.dpotrf is sdp._potrf
+        assert sla.blas.dsyr2k is sdp._syr2k
 
 
 class TestDoubleRefinement:

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from ratsos.poly import Polynomial, full_basis
 
@@ -56,3 +57,11 @@ def assert_poly_close(f, g, rtol=1e-13):
 
 def seeded_rng(seed=20240817):
     return np.random.default_rng(seed)
+
+
+def scipy_csr(A):
+    """The scipy CSR matrix of a solver `_Csr`: A's entries in A's order,
+    with the row pointer rebased to start at 0, as scipy requires."""
+    lo, hi = A.indptr[0], A.indptr[-1]
+    return sp.csr_matrix((A.data[lo:hi], A.indices[lo:hi], A.indptr - lo),
+                         shape=A.shape)
