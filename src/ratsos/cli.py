@@ -110,17 +110,10 @@ def _parse_orders(args, prob, method):
             raise BuildError(
                 f"--orders takes K1..K2 with K1 <= K2, not {args.orders!r}"
             )
-    elif args.order is not None:
-        orders = [args.order]
-    else:
-        orders = [min_order(prob, method)]
-    d_min = min_order(prob, method)
-    for k in orders:
-        if k < d_min:
-            raise BuildError(
-                f"order {k} below the minimum admissible order {d_min}"
-            )
-    return orders
+        return orders
+    if args.order is not None:
+        return [args.order]
+    return [min_order(prob, method)]
 
 
 def cmd_solve(args):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSampleError
-from .problem import diag_quadratic_pattern, variable_bounds
+from .problem import diag_quadratic_pattern, variable_scales
 
 FEAS_TOL = 1e-8
 
@@ -96,15 +96,10 @@ def _pick_best(prob, pts, vals):
     return near[order[0]]
 
 
-def _box_radii(prob):
-    bounds = variable_bounds(prob)
-    return np.array([np.sqrt(b) if b is not None else 1.0 for b in bounds])
-
-
 def grid_oracle(prob, resolution=21, refine_iters=200, seed=0):
     """Best feasible objective value found by grid/multistart plus descent."""
     n = prob.nvars
-    radii = _box_radii(prob)
+    radii = variable_scales(prob)
     spheres = _sphere_constraints(prob)
     samples = 0
 
@@ -116,12 +111,10 @@ def grid_oracle(prob, resolution=21, refine_iters=200, seed=0):
         rng = np.random.default_rng(seed)
         count = max(4000, 400 * n)
         candidates = rng.uniform(-1, 1, size=(count, n)) * radii
+    # with a non-sphere equality (spheres is None) the candidates stay
+    # unprojected and the feasibility mask below decides what survives
     if spheres:
         candidates = _project(candidates, spheres)
-    elif spheres is None:
-        # non-sphere equality present: keep raw candidates, feasibility
-        # filtering below decides whether anything survives
-        pass
     samples += candidates.shape[0]
     mask = _feasible_mask(prob, candidates)
     pts = candidates[mask]

@@ -19,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ParseError
 from .poly import MAX_EXPONENT, Polynomial
 
@@ -27,10 +29,6 @@ from .poly import MAX_EXPONENT, Polynomial
 class Constraint:
     poly: Polynomial
     equality: bool
-
-    @property
-    def kind(self):
-        return "eq" if self.equality else "ineq"
 
 
 @dataclass
@@ -121,6 +119,14 @@ def variable_bounds(prob):
                 if bounds[v] is None or b < bounds[v]:
                     bounds[v] = b
     return bounds
+
+
+def variable_scales(prob):
+    """Per-variable half-widths sqrt(b_v) of the box `variable_bounds`
+    derives, 1.0 where it derives none."""
+    return np.array(
+        [math.sqrt(b) if b is not None else 1.0 for b in variable_bounds(prob)]
+    )
 
 
 def _diag_even_quartic_bounds(poly):

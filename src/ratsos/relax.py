@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .problem import (
     Constraint,
     SrfoProblem,
     diag_quadratic_pattern,
-    variable_bounds,
+    variable_scales,
 )
 from .sdp import SolveReport, psd_block, solve_internal, to_standard_form
 from .signsym import (
@@ -164,21 +164,37 @@ class QuotientReducer:
 
 
 @dataclass
-class MeasureLayout:
+class Measure:
+    """One ratio's pseudo-moment vector and what the build decided for it.
+
+    `p`, `q` and `cons` are in the scaled variables, and `cons` leaves out
+    the equalities that `reducer` absorbed.  `monomials` are the kept
+    moments of degree at most 2k, numbered from `offset` in the decision
+    vector; `index` maps each to its column.
+    """
+
     label: str
-    var_indices: tuple
-    monomials: tuple
-    offset: int
-    index: dict
-    q_scaled: Polynomial
+    vars: tuple
+    p: Polynomial
+    q: Polynomial
+    cons: list            # (g_scaled, equality, name)
+    group: SignSymmetryGroup | None
     reducer: QuotientReducer
+    monomials: tuple = ()
+    offset: int = 0
+    index: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.monomials)
 
+    def keeps(self, mono):
+        if self.group is not None and not in_closure(self.group, mono):
+            return False
+        return self.reducer.is_kept(mono)
+
 
 class RelaxationSdp:
-    """Block SDP produced by a builder, plus the layout to read moments back."""
+    """Block SDP produced by a builder, plus its measures to read moments back."""
 
     def __init__(self, method, order, problem, var_scale):
         self.method = method
@@ -193,10 +209,6 @@ class RelaxationSdp:
         self.objective = None
         self.num_decision = 0
 
-    def add_measure(self, layout):
-        self.measures.append(layout)
-        self.num_decision += len(layout.monomials)
-
     def add_block(self, block, measure, kind):
         self.blocks.append(block)
         self.block_measure.append(measure)
@@ -208,18 +220,17 @@ class RelaxationSdp:
     def block_size_histogram(self):
         return dict(sorted(Counter(b.size for b in self.blocks).items()))
 
-    def moment_matrix(self, report, measure):
-        """Masked moment matrix of one measure at the relaxation's order."""
-        lay = self.measures[measure]
-        mb = basis(len(self.var_scale), lay.var_indices, self.order)
+    def moment_matrix(self, report, m):
+        """Masked moment matrix of measure m at the relaxation's order."""
+        mb = basis(len(self.var_scale), m.vars, self.order)
         M = np.zeros((len(mb), len(mb)))
         y = report.y
         for a, beta in enumerate(mb):
             for b in range(a, len(mb)):
                 val = 0.0
                 known = True
-                for m2, c2 in lay.reducer.reduce(mono_mul(beta, mb[b])):
-                    gid = lay.index.get(m2)
+                for m2, c2 in m.reducer.reduce(mono_mul(beta, mb[b])):
+                    gid = m.index.get(m2)
                     if gid is None:
                         known = False
                         break
@@ -244,11 +255,6 @@ def min_order(prob, method="dense"):
     for con in prob.constraints:
         degs.append(_half_deg(con.poly))
     return max(degs) if degs else 1
-
-
-def _scale_factors(prob):
-    bounds = variable_bounds(prob)
-    return np.array([math.sqrt(b) if b is not None else 1.0 for b in bounds])
 
 
 def _anchor_point(nvars, scaled_cons):
@@ -278,23 +284,7 @@ def _anchor_point(nvars, scaled_cons):
     return u
 
 
-@dataclass
-class _Plan:
-    label: str
-    vars: tuple
-    p: Polynomial
-    q: Polynomial
-    cons: list            # (g_scaled, equality, name)
-    group: SignSymmetryGroup | None
-    reducer: QuotientReducer
-
-    def keeps(self, mono):
-        if self.group is not None and not in_closure(self.group, mono):
-            return False
-        return self.reducer.is_kept(mono)
-
-
-def _scaled_plan(label, vars_, p, q, cons, group, tau):
+def _scaled_measure(label, vars_, p, q, cons, group, tau):
     """One ratio measure in the scaled variables, its quotient absorbed."""
     p = p.rescale_vars(tau)
     q = q.rescale_vars(tau)
@@ -315,55 +305,54 @@ def _scaled_plan(label, vars_, p, q, cons, group, tau):
         if e and reducer.try_add(g) is not None:
             continue
         kept_cons.append((g, e, nm))
-    return _Plan(label, vars_, p, q, kept_cons, group, reducer)
+    return Measure(label, vars_, p, q, kept_cons, group, reducer)
 
 
-def _block_basis(plan, nvars, order):
+def _block_basis(m, nvars, order):
     """Block index basis: quotient representatives only.
 
     Dropping reducible monomials is an exact congruence (the full matrix is
     T M~ T' with T of full column rank) and restores a strictly feasible
     moment block, which the full basis never has on an equality variety.
     """
-    return [m for m in basis(nvars, plan.vars, order) if plan.reducer.is_kept(m)]
+    return [mono for mono in basis(nvars, m.vars, order) if m.reducer.is_kept(mono)]
 
 
-def _emit_measure_blocks(rsdp, mi, plan, k, nvars):
-    """Moment block, localizing blocks and localizing equality rows of a plan."""
-    lay = rsdp.measures[mi]
+def _emit_measure_blocks(rsdp, mi, k, nvars):
+    """Moment block, localizing blocks and localizing equality rows of
+    measure mi; k is at least every constraint's half-degree (`min_order`)."""
+    m = rsdp.measures[mi]
     one = (((0,) * nvars, 1.0),)
-    _emit_localizing(rsdp, mi, plan, one, _block_basis(plan, nvars, k),
-                     "moment", "moment")
-    for g, is_eq, gname in plan.cons:
+    _emit_localizing(rsdp, mi, one, _block_basis(m, nvars, k), "moment", "moment")
+    for g, is_eq, gname in m.cons:
         dg = _half_deg(g)
-        if k < dg:
-            raise OrderTooSmallError(k, dg)
         terms = g.sorted_terms()
         if not is_eq:
-            _emit_localizing(rsdp, mi, plan, terms,
-                             _block_basis(plan, nvars, k - dg),
+            _emit_localizing(rsdp, mi, terms, _block_basis(m, nvars, k - dg),
                              f"loc[{gname}]", "localizing")
             continue
-        for sigma in _block_basis(plan, nvars, 2 * (k - dg)):
-            if plan.group is not None and not in_closure(plan.group, sigma):
+        for sigma in _block_basis(m, nvars, 2 * (k - dg)):
+            if m.group is not None and not in_closure(m.group, sigma):
                 continue
-            cols, vals = _riesz_cols(lay, terms, sigma)
+            cols, vals = _riesz_cols(m, terms, sigma)
             if any(v != 0.0 for v in vals):
                 rsdp.add_eq(cols, vals, 0.0)
 
 
-def _emit_localizing(rsdp, mi, plan, terms, sub, name, kind):
-    """Localizing matrix of g (its sorted terms) on basis `sub`, one PSD block
-    per sign-symmetry class; g = 1 gives the moment matrix."""
-    index = rsdp.measures[mi].index
+def _emit_localizing(rsdp, mi, terms, sub, name, kind):
+    """Localizing matrix of g (its sorted terms) on basis `sub` for measure
+    mi, one PSD block per sign-symmetry class; g = 1 gives the moment
+    matrix."""
+    m = rsdp.measures[mi]
+    index = m.index
     classes = (
-        block_partition(plan.group, sub).classes
-        if plan.group is not None
+        block_partition(m.group, sub).classes
+        if m.group is not None
         else (tuple(range(len(sub))),)
     )
     # a zero alpha (the moment matrix's one term) shifts nothing
     terms = [(alpha if any(alpha) else None, ca) for alpha, ca in terms]
-    reduce = plan.reducer.reduce
+    reduce = m.reducer.reduce
     for ci, cls in enumerate(classes):
         rows, cols, vids, coefs = [], [], [], []
         monos = [sub[i] for i in cls]
@@ -378,19 +367,19 @@ def _emit_localizing(rsdp, mi, plan, terms, sub, name, kind):
                         vids.append(index[m2])
                         coefs.append(ca * c2)
         rsdp.add_block(
-            psd_block(f"{plan.label}:{name}:{ci}", len(cls), rows, cols, vids, coefs),
+            psd_block(f"{m.label}:{name}:{ci}", len(cls), rows, cols, vids, coefs),
             mi,
             kind,
         )
 
 
-def _riesz_cols(lay, terms, alpha):
-    """Columns and values of L_y(x^alpha * f) in one measure's layout, for f
-    given by its sorted terms."""
+def _riesz_cols(m, terms, alpha):
+    """Columns and values of L_y(x^alpha * f) in measure m, for f given by
+    its sorted terms."""
     acc = {}
     for delta, cf in terms:
-        for m2, c2 in lay.reducer.reduce(mono_mul(alpha, delta)):
-            gid = lay.index[m2]
+        for m2, c2 in m.reducer.reduce(mono_mul(alpha, delta)):
+            gid = m.index[m2]
             acc[gid] = acc.get(gid, 0.0) + cf * c2
     cols = sorted(acc)
     return cols, [acc[gid] for gid in cols]
@@ -413,6 +402,9 @@ def _ratio_relaxation(prob, method, k, ratio_order):
     order = list(ratio_order) if ratio_order is not None else list(range(N))
     if sorted(order) != list(range(N)):
         raise BuildError(f"ratio_order {order} is not a permutation of 0..{N - 1}")
+    d_min = min_order(prob)
+    if k < d_min:
+        raise OrderTooSmallError(k, d_min)
     if split:
         cs = build_cliques(prob)
     if mask == "measure":
@@ -423,51 +415,36 @@ def _ratio_relaxation(prob, method, k, ratio_order):
     else:
         groups = [None] * N
 
-    tau = _scale_factors(prob)
-    d_min = min_order(prob)
-    if k < d_min:
-        raise OrderTooSmallError(k, d_min)
+    tau = variable_scales(prob)
     rsdp = RelaxationSdp(method, k, prob, tau)
+    measures = rsdp.measures
 
     sign = -1.0 if prob.maximize else 1.0
     cons = [(c.poly, c.equality, f"g{j + 1}") for j, c in enumerate(prob.constraints)]
-    plans = []
     for i, r in enumerate(order):
         p, q = prob.ratios[r]
         if split:
             vars_, own = cs.cliques[i], [cons[j] for j in cs.assign[i]]
         else:
             vars_, own = tuple(range(n)), cons
-        plans.append(
-            _scaled_plan(f"m{i + 1}", vars_, sign * p, q, own, groups[i], tau)
-        )
-
-    for plan in plans:
-        monos = tuple(m for m in basis(n, plan.vars, 2 * k) if plan.keeps(m))
-        offset = rsdp.num_decision
-        rsdp.add_measure(MeasureLayout(
-            label=plan.label,
-            var_indices=plan.vars,
-            monomials=monos,
-            offset=offset,
-            index={m: offset + i for i, m in enumerate(monos)},
-            q_scaled=plan.q,
-            reducer=plan.reducer,
-        ))
-
-    obj = np.zeros(rsdp.num_decision)
-    for lay, plan in zip(rsdp.measures, plans):
-        for mono, c in plan.p.sorted_terms():
-            for m2, c2 in plan.reducer.reduce(mono):
-                obj[lay.index[m2]] += c * c2
-    rsdp.objective = obj
-
-    for mi, plan in enumerate(plans):
-        _emit_measure_blocks(rsdp, mi, plan, k, n)
+        m = _scaled_measure(f"m{i + 1}", vars_, sign * p, q, own, groups[i], tau)
+        m.monomials = tuple(a for a in basis(n, m.vars, 2 * k) if m.keeps(a))
+        m.offset = rsdp.num_decision
+        m.index = {a: m.offset + j for j, a in enumerate(m.monomials)}
+        rsdp.num_decision += len(m)
+        measures.append(m)
 
     zero = (0,) * n
-    for mi in range(N) if split else (0,):
-        cols, vals = _riesz_cols(rsdp.measures[mi], plans[mi].q.sorted_terms(), zero)
+    rsdp.objective = np.zeros(rsdp.num_decision)
+    for m in measures:
+        cols, vals = _riesz_cols(m, m.p.sorted_terms(), zero)
+        rsdp.objective[cols] = vals
+
+    for mi in range(N):
+        _emit_measure_blocks(rsdp, mi, k, n)
+
+    for m in measures if split else measures[:1]:
+        cols, vals = _riesz_cols(m, m.q.sorted_terms(), zero)
         rsdp.add_eq(cols, vals, 1.0)
 
     if split:
@@ -475,19 +452,18 @@ def _ratio_relaxation(prob, method, k, ratio_order):
     else:
         pairs = [(i, 0, tuple(range(n))) for i in range(1, N)]
     for i, j, shared in pairs:
-        trunc = 2 * k - max(prob.ratios[order[i]][1].degree(),
-                            prob.ratios[order[j]][1].degree())
+        mi, mj = measures[i], measures[j]
+        trunc = 2 * k - max(mi.q.degree(), mj.q.degree())
         if trunc < 0:
             continue
-        li, lj = rsdp.measures[i], rsdp.measures[j]
-        ti, tj = plans[i].q.sorted_terms(), plans[j].q.sorted_terms()
+        ti, tj = mi.q.sorted_terms(), mj.q.sorted_terms()
         for alpha in basis(n, shared, trunc):
             if split and alpha == zero:
                 continue
-            if groups[i] is not None and not in_closure(groups[i], alpha):
+            if mi.group is not None and not in_closure(mi.group, alpha):
                 continue
-            ci, vi = _riesz_cols(li, ti, alpha)
-            cj, vj = _riesz_cols(lj, tj, alpha)
+            ci, vi = _riesz_cols(mi, ti, alpha)
+            cj, vj = _riesz_cols(mj, tj, alpha)
             rsdp.add_eq(ci + cj, vi + [-v for v in vj], 0.0)
     return rsdp
 
@@ -569,24 +545,29 @@ def dirac_decision_vector(rsdp, point):
         )
     y = np.zeros(rsdp.num_decision)
     scaled = point / rsdp.var_scale
-    for lay in rsdp.measures:
-        t = 1.0 / lay.q_scaled.evaluate(scaled)
-        for mono, gid in lay.index.items():
+    for m in rsdp.measures:
+        t = 1.0 / m.q.evaluate(scaled)
+        for mono, gid in m.index.items():
             y[gid] = t * float(np.prod([x ** e for x, e in zip(scaled, mono)]))
     return y
 
 
-def _numerical_rank(M, rank_tol):
+# singular values below RANK_TOL times the largest count as zero in the
+# flatness test's ranks
+RANK_TOL = 1e-6
+
+
+def _numerical_rank(M):
     if M.size == 0:
         return 0
     svals = np.linalg.svd(M, compute_uv=False)
     top = svals.max()
     if top <= 0.0:
         return 0
-    return int((svals > rank_tol * top).sum())
+    return int((svals > RANK_TOL * top).sum())
 
 
-def flatness_certificate(rsdp, report, rank_tol=1e-6):
+def flatness_certificate(rsdp, report):
     """Flat-truncation check on the first measure's moment matrix.
 
     Requires the numerical rank of M_s(y_1) to stabilize across the last
@@ -611,10 +592,10 @@ def flatness_certificate(rsdp, report, rank_tol=1e-6):
         orders.append(k - d - 1)
     # the graded basis of a lower order is a prefix of order k's, so each
     # M_s is a leading principal block of M_k
-    M = rsdp.moment_matrix(report, 0)
-    indices = rsdp.measures[0].var_indices
-    sizes = [len(basis(len(rsdp.var_scale), indices, s)) for s in orders]
-    ranks = [_numerical_rank(M[:n, :n], rank_tol) for n in sizes]
+    m = rsdp.measures[0]
+    M = rsdp.moment_matrix(report, m)
+    sizes = [len(basis(len(rsdp.var_scale), m.vars, s)) for s in orders]
+    ranks = [_numerical_rank(M[:n, :n]) for n in sizes]
     return all(r == ranks[0] for r in ranks)
 
 
@@ -640,7 +621,6 @@ def solve_relaxation(
     ratio_order=None,
     tol=1e-8,
     max_iter=200,
-    rank_tol=1e-6,
 ):
     """Build, solve and package one relaxation; the pipeline used by the CLI.
 
@@ -656,7 +636,7 @@ def solve_relaxation(
     solve_ms = 1000.0 * (time.perf_counter() - t1)
     certified = False
     if report.ok() and method in ("dense", "signsym"):
-        certified = bool(flatness_certificate(rsdp, report, rank_tol))
+        certified = bool(flatness_certificate(rsdp, report))
     # the solver minimizes; the values go back to the objective's sense
     sign = -1.0 if prob.maximize else 1.0
     return RunResult(

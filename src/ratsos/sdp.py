@@ -41,9 +41,11 @@ def _scipy_extension(name):
 
     No `__init__` of a scipy package runs: those of `scipy.linalg` and
     `scipy.sparse` cost more start-up than the whole solve of a small
-    problem.  The module is registered under its full name, so a later
-    `import scipy.linalg` reuses this module object.  A missing file raises
-    ImportError naming the path looked for.
+    problem.  A module already in sys.modules is reused.  A loaded one is
+    not left there: a later `import scipy.linalg` then imports it itself and
+    binds it as the package's attribute, and that module holds the same
+    functions, since CPython initializes a single-phase extension once.  A
+    missing file raises ImportError naming the path looked for.
     """
     full = "scipy." + name
     if full in sys.modules:
@@ -58,8 +60,8 @@ def _scipy_extension(name):
         raise ImportError(f"no compiled module {full} at {base}{suffixes[0]}")
     spec = importlib.util.spec_from_file_location(full, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[full] = module
     spec.loader.exec_module(module)
+    sys.modules.pop(full, None)
     return module
 
 

@@ -175,9 +175,8 @@ def support_sets(prob, ratio_order=None):
 
     Measure slots follow `ratio_order` (a permutation of 0..N-1 giving which
     ratio is treated first).  Every slot's set contains its own numerator and
-    denominator supports plus all constraint supports; the first slot
-    additionally absorbs every other slot's set, so it always carries the
-    full (global) support.
+    denominator supports plus all constraint supports; the first slot is the
+    full support, `global_support`.
     """
     order = list(ratio_order) if ratio_order is not None else list(range(len(prob.ratios)))
     if sorted(order) != list(range(len(prob.ratios))):
@@ -189,10 +188,7 @@ def support_sets(prob, ratio_order=None):
     for slot in order:
         p, q = prob.ratios[slot]
         sets.append(frozenset(set(p.support) | set(q.support) | gsupp))
-    merged = set(sets[0])
-    for s in sets[1:]:
-        merged |= s
-    sets[0] = frozenset(merged)
+    sets[0] = global_support(prob)
     return sets
 
 

@@ -29,7 +29,8 @@ ended in each status, the summed line count of `src/ratsos/*.py` and
 states the totals a solver change is judged by, and the code size and
 start-up cost next to them.
 
-It takes about a minute on one core, N times that with `--repeat N`.
+It takes about 12 s on one core of a shared 2-core box, N times that with
+`--repeat N`.
 pytest does not collect this file.
 """
 

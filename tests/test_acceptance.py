@@ -265,8 +265,8 @@ def test_criterion_8_certification_levels():
     prob = gen_unit_ball_mix()
     low = solve_relaxation(prob, "dense", 2)
     high = solve_relaxation(prob, "dense", 3)
-    assert flatness_certificate(low.rsdp, low.report, rank_tol=1e-6) is False
-    assert flatness_certificate(high.rsdp, high.report, rank_tol=1e-6) is True
+    assert flatness_certificate(low.rsdp, low.report) is False
+    assert flatness_certificate(high.rsdp, high.report) is True
     assert low.certified is False
     assert high.certified is True
     _report(8, "certificate false at order 2, true at order 3")

@@ -16,7 +16,14 @@ from ratsos.families import (
 )
 from ratsos.oracle import grid_oracle
 from ratsos.poly import Polynomial
-from ratsos.problem import Constraint, SrfoProblem, parse, serialize, variable_bounds
+from ratsos.problem import (
+    Constraint,
+    SrfoProblem,
+    parse,
+    serialize,
+    variable_bounds,
+    variable_scales,
+)
 from util import seeded_rng
 
 
@@ -218,6 +225,12 @@ class TestGenerators:
             ratios=[(Polynomial.variable(1, 0), Polynomial.constant(1, 1.0))],
         )
         assert variable_bounds(free) == [None]
+
+    def test_variable_scales(self):
+        # sqrt of each derived bound, 1.0 where none is derivable
+        prob = parse("vars x1 x2\nratio: (x1 + x2)/(1)\nconstraint: 4 - x1^2 >= 0\n")
+        assert variable_scales(prob).tolist() == [2.0, 1.0]
+        assert variable_scales(gen_overlap_chain(8, 1)).tolist() == [1.0] * 9
 
 
 class TestRayleigh:

@@ -833,9 +833,33 @@ class TestScipyExtensions:
         with pytest.raises(ImportError, match=re.escape(path)):
             sdp._scipy_extension("linalg._flapack")
 
+    def test_scipy_imported_after_ratsos_binds_the_modules(self):
+        # a fresh interpreter, ratsos first: scipy's packages get their
+        # compiled modules as attributes, holding the solver's functions
+        script = (
+            "from ratsos import sdp\n"
+            "import scipy.linalg, scipy.sparse\n"
+            "assert scipy.sparse._sparsetools.csr_matvec is sdp._csr_matvec\n"
+            "assert scipy.linalg._flapack.dpotrf is sdp._potrf\n"
+            "assert scipy.linalg.lapack.dpotrf is sdp._potrf\n"
+            "assert scipy.linalg._fblas.dsyr2k is sdp._syr2k\n"
+        )
+        src = str(Path(ratsos.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_scipy_packages_reuse_the_loaded_modules(self):
+        # scipy's module is this one when scipy was imported first, and
+        # otherwise a second module holding the same objects
         for module in (sdp._flapack, sdp._fblas, sdp._sparsetools):
-            assert importlib.import_module(module.__name__) is module
+            loaded = importlib.import_module(module.__name__)
+            for key, value in vars(module).items():
+                if not key.startswith("__"):
+                    assert getattr(loaded, key) is value, key
         assert sla.lapack.dpotrf is sdp._potrf
         assert sla.blas.dsyr2k is sdp._syr2k
 
