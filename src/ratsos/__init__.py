@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .corrsparse import CliqueStructure, build_cliques, ensure_ball_constraints
 from .families import FAMILIES, rayleigh_to_real
 from .oracle import GridOracleResult, grid_oracle
-from .poly import Monomial, MonomialBasis, Polynomial, basis
+from .poly import Monomial, Polynomial, basis
 from .problem import Constraint, SrfoProblem, parse, serialize
 from .relax import (
     METHODS,
@@ -26,7 +26,6 @@ from .sdp import (
     to_standard_form,
 )
 from .signsym import (
-    BlockPartition,
     SignSymmetryGroup,
     block_partition,
     in_closure,
@@ -35,14 +34,12 @@ from .signsym import (
 )
 
 __all__ = [
-    "BlockPartition",
     "CliqueStructure",
     "Constraint",
     "FAMILIES",
     "GridOracleResult",
     "METHODS",
     "Monomial",
-    "MonomialBasis",
     "Polynomial",
     "RelaxationSdp",
     "SdpStandardForm",

@@ -191,7 +191,7 @@ def cmd_analyze(args):
         for group in groups:
             part = block_partition(group, full_basis(n, k))
             sizes = {}
-            for cls in part.classes:
+            for cls in part:
                 sizes[len(cls)] = sizes.get(len(cls), 0) + 1
             hists.append(
                 "{" + ", ".join(f"{s}x{c}" for s, c in sorted(sizes.items(), reverse=True)) + "}"

@@ -3,9 +3,9 @@
 Each ratio owns a variable clique; constraints are assigned to the first
 clique containing their variables, and the running intersection property
 (RIP) is verified on the given order with a maximum-cardinality-search
-reordering attempted before reporting a violation.  Overlap bookkeeping
-(U/V sets and pairwise shared variables) drives the linking equalities of
-the sparse relaxations.
+reordering attempted before reporting a violation.  The variables each
+overlapping pair of cliques shares drive the linking equalities of the
+sparse relaxations.
 """
 
 from __future__ import annotations
@@ -21,19 +21,9 @@ from .problem import Constraint, SrfoProblem, diag_quadratic_pattern, variable_b
 class CliqueStructure:
     cliques: tuple
     assign: tuple            # J_i: constraint indices owned by clique i
-    U: tuple                 # later overlapping cliques per clique
-    V: tuple                 # earlier overlapping cliques per clique
-    shared: dict             # (i, j) with i < j -> shared variable tuple
-    rip_ok: bool
+    shared: dict             # (i, j) with i < j, overlapping only -> shared variable tuple
     rip_order: tuple         # clique order certifying RIP (identity if given order works)
     given_order_witness: tuple | None = None  # (clique, overlap) when the given order fails
-
-    @property
-    def num_cliques(self):
-        return len(self.cliques)
-
-    def shared_vars(self, i, j):
-        return self.shared[(min(i, j), max(i, j))]
 
 
 def _rip_holds(cliques, order):
@@ -110,23 +100,18 @@ def build_cliques(prob):
 
     N = len(cliques)
     shared = {}
-    U = [[] for _ in range(N)]
-    V = [[] for _ in range(N)]
     for i in range(N):
         for j in range(i + 1, N):
             common = tuple(sorted(set(cliques[i]) & set(cliques[j])))
             if common:
                 shared[(i, j)] = common
-                U[i].append(j)
-                V[j].append(i)
 
-    rip_ok, witness = _rip_holds(cliques, list(range(N)))
+    holds, witness = _rip_holds(cliques, list(range(N)))
     rip_order = tuple(range(N))
-    if not rip_ok:
+    if not holds:
         candidate = _mcs_order(cliques)
-        ok2, _ = _rip_holds(cliques, candidate)
-        if ok2:
-            rip_ok, rip_order = True, tuple(candidate)
+        if _rip_holds(cliques, candidate)[0]:
+            rip_order = tuple(candidate)
         else:
             bad, overlap = witness
             raise CliqueStructureError(
@@ -138,10 +123,7 @@ def build_cliques(prob):
     return CliqueStructure(
         cliques=tuple(cliques),
         assign=tuple(tuple(a) for a in assign),
-        U=tuple(tuple(u) for u in U),
-        V=tuple(tuple(v) for v in V),
         shared=shared,
-        rip_ok=rip_ok,
         rip_order=rip_order,
         given_order_witness=(
             None if witness is None else (witness[0], tuple(witness[1]))
@@ -185,42 +167,26 @@ def _auto_radius(prob, clique):
     return None
 
 
-def ensure_ball_constraints(prob, cs, radii="auto"):
+def ensure_ball_constraints(prob, cs):
     """Append per-clique ball constraints where missing.
 
-    `radii` is either "auto" (derive each bound from existing ball, sphere or
-    box constraints), a single number, or one number per clique.  Returns a
-    new problem; re-run build_cliques on it to refresh the assignment.
+    Each radius is derived from the existing ball, sphere or box
+    constraints, and is positive.  Returns a new problem; re-run
+    build_cliques on it to refresh the assignment.
     """
-    N = cs.num_cliques
-    if radii == "auto":
-        wanted = [None] * N
-    elif isinstance(radii, (int, float)):
-        wanted = [float(radii)] * N
-    else:
-        wanted = [float(r) for r in radii]
-        if len(wanted) != N:
-            raise CliqueStructureError(f"{len(wanted)} radii for {N} cliques")
     new_cons = list(prob.constraints)
-    added = False
-    for i in range(N):
+    for i, clique in enumerate(cs.cliques):
         if _has_ball(prob, cs, i):
             continue
-        M = wanted[i]
+        M = _auto_radius(prob, clique)
         if M is None:
-            M = _auto_radius(prob, cs.cliques[i])
-            if M is None:
-                raise CliqueStructureError(
-                    f"no bound derivable for clique {i + 1}; pass an explicit radius"
-                )
-        if M <= 0:
-            raise CliqueStructureError(f"clique {i + 1} radius must be positive")
+            raise CliqueStructureError(f"no bound derivable for clique {i + 1}; "
+                                       "add a ball constraint on its variables")
         ball = Polynomial.constant(prob.nvars, M)
-        for v in cs.cliques[i]:
+        for v in clique:
             ball = ball - Polynomial.variable(prob.nvars, v, 2)
         new_cons.append(Constraint(ball, False))
-        added = True
-    if not added:
+    if len(new_cons) == len(prob.constraints):
         return prob
     return SrfoProblem(
         nvars=prob.nvars,

@@ -280,44 +280,6 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {' + '.join(parts)}{tail})"
 
 
-class MonomialBasis:
-    """All monomials supported on a variable subset, up to a total degree.
-
-    Elements are graded-lex sorted, complete and duplicate-free; the size is
-    binomial(|I| + k, k).
-    """
-
-    __slots__ = ("nvars", "indices", "order", "elems", "_pos")
-
-    def __init__(self, nvars, indices, order, elems):
-        self.nvars = nvars
-        self.indices = indices
-        self.order = order
-        self.elems = elems
-        self._pos = {m: i for i, m in enumerate(elems)}
-
-    def __len__(self):
-        return len(self.elems)
-
-    def __iter__(self):
-        return iter(self.elems)
-
-    def __getitem__(self, i):
-        return self.elems[i]
-
-    def index_of(self, mono):
-        return self._pos[mono]
-
-    def __contains__(self, mono):
-        return mono in self._pos
-
-    def __repr__(self):
-        return (
-            f"MonomialBasis(n={self.nvars}, I={list(self.indices)}, "
-            f"k={self.order}, size={len(self.elems)})"
-        )
-
-
 def _compositions(nslots, total):
     """Exact-degree exponent tuples in descending lex order."""
     if nslots == 1:
@@ -342,11 +304,13 @@ def _basis_cached(nvars, indices, order):
             for slot, e in zip(indices, packed):
                 mono[slot] = e
             elems.append(tuple(mono))
-    return MonomialBasis(nvars, indices, order, tuple(elems))
+    return tuple(elems)
 
 
 def basis(nvars, indices, order):
-    """Monomial basis on variable subset `indices` (0-based) up to `order`."""
+    """All monomials on variable subset `indices` (0-based) up to total
+    degree `order`: a tuple of exponent tuples in graded-lex order, complete
+    and duplicate-free, of size binomial(|indices| + order, order)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     idx = tuple(sorted(set(int(i) for i in indices)))

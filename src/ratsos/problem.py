@@ -131,8 +131,9 @@ def variable_scales(prob):
 
 def _diag_even_quartic_bounds(poly):
     """Bounds implied by c0 + sum_v (beta_v t_v - alpha_v t_v^2) >= 0 with
-    t_v = x_v^2 and every alpha_v > 0; None when the shape does not match
-    or some direction is unbounded."""
+    t_v = x_v^2 and every alpha_v > 0, for any sign of c0; None when the
+    shape does not match, some direction is unbounded, or some bound is not
+    positive (then the constraint admits no point, or only x_v = 0)."""
     c0 = 0.0
     alpha = {}
     beta = {}
@@ -151,7 +152,7 @@ def _diag_even_quartic_bounds(poly):
             quartic = True
         else:
             return None
-    if not quartic or c0 <= 0.0:
+    if not quartic:
         return None
     variables = set(alpha) | set(beta)
     peaks = {}
@@ -174,7 +175,10 @@ def _diag_even_quartic_bounds(poly):
         head = c0 + sum(p for u, p in peaks.items() if u != v)
         # largest t with -a t^2 + b t + head >= 0
         disc = b * b + 4.0 * a * head
-        out[v] = (b + math.sqrt(disc)) / (2.0 * a)
+        t = (b + math.sqrt(disc)) / (2.0 * a) if disc >= 0.0 else 0.0
+        if t <= 0.0:
+            return None
+        out[v] = t
     return out
 
 

@@ -346,7 +346,7 @@ def _emit_localizing(rsdp, mi, terms, sub, name, kind):
     m = rsdp.measures[mi]
     index = m.index
     classes = (
-        block_partition(m.group, sub).classes
+        block_partition(m.group, sub)
         if m.group is not None
         else (tuple(range(len(sub))),)
     )
@@ -448,10 +448,10 @@ def _ratio_relaxation(prob, method, k, ratio_order):
         rsdp.add_eq(cols, vals, 1.0)
 
     if split:
-        pairs = [(i, j, cs.shared_vars(i, j)) for i in range(N) for j in cs.U[i]]
+        pairs = cs.shared.items()
     else:
-        pairs = [(i, 0, tuple(range(n))) for i in range(1, N)]
-    for i, j, shared in pairs:
+        pairs = [((i, 0), tuple(range(n))) for i in range(1, N)]
+    for (i, j), shared in pairs:
         mi, mj = measures[i], measures[j]
         trunc = 2 * k - max(mi.q.degree(), mj.q.degree())
         if trunc < 0:

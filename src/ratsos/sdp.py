@@ -1099,19 +1099,16 @@ def solve_internal(sf, tol=1e-8, max_iter=200):
             except (ValueError, np.linalg.LinAlgError):
                 status = "numerical_issue"
                 break
-            if not (np.isfinite(ap) and np.isfinite(ad)):
-                status = "numerical_issue"
-            elif min(ap, ad) < 1e-8:
+            if min(ap, ad) < 1e-8:
                 status = "stalled"
             else:
                 it = it.step(ap, ad, direction)
                 continue
         break
 
+    # best.err > tol: an iterate within tol ends the loop as optimal
     if status in ("max_iter", "stalled", "numerical_issue"):
-        if best.err <= tol:
-            status = "optimal"
-        elif best.err <= max(1e-5, 1e3 * tol):
+        if best.err <= max(1e-5, 1e3 * tol):
             status = "near_optimal"
         elif status == "stalled":
             status = "numerical_issue"

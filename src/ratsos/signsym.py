@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError
-from .poly import MonomialBasis
 
 
 def parity_mask(mono):
@@ -141,33 +140,15 @@ def in_closure(group, mono):
     return group.signature(mono) == 0
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Partition of a monomial basis into same-signature classes.
-
-    Two basis members land in the same class iff their sum lies in the
-    group closure, which is what makes the masked moment matrix
-    block-diagonal after permutation.
-    """
-
-    basis: MonomialBasis
-    classes: tuple
-
-    def sizes(self):
-        return [len(c) for c in self.classes]
-
-    def mask_nonzeros(self):
-        """Number of matrix entries kept by the 0/1 mask."""
-        return sum(len(c) ** 2 for c in self.classes)
-
-
 def block_partition(group, monomial_basis):
-    """Split a basis into the parity-signature classes of a symmetry group."""
+    """Split a basis into the parity-signature classes of a symmetry group:
+    a tuple of index tuples into the basis, ordered by first index.  Two
+    members share a class iff their product lies in the group closure."""
     by_sig = {}
     for i, mono in enumerate(monomial_basis):
         by_sig.setdefault(group.signature(mono), []).append(i)
     classes = sorted(by_sig.values(), key=lambda idxs: idxs[0])
-    return BlockPartition(monomial_basis, tuple(tuple(c) for c in classes))
+    return tuple(tuple(c) for c in classes)
 
 
 def support_sets(prob, ratio_order=None):

@@ -1,6 +1,7 @@
 """Print a fingerprint of each reference row of the solver.
 
-One line per row: label, status, iterations, primal, and the first 16 hex
+One line per row: label, status, iterations, primal, the reported bound
+(`repr`) and certified flag of the row's `RunResult`, and the first 16 hex
 digits of sha256(y bytes + repr of primal, dual, gap, pinf, dinf, status,
 iterations, schur_blocks).  The rows are the 28 `ratsos bench` rows and
 `rand-srfo` `dense`/`signsym` k=3 at seeds 2, 5, 7001 and 7003, each built
@@ -14,6 +15,12 @@ the saved one (the saved line first, prefixed "-", then the new one, "+")
 and exits 1 if any row differs or is missing on either side:
 
     PYTHONPATH=src python tests/fingerprint_rows.py --compare rows.txt
+
+To compare against an older commit, make its file with this script and the
+older commit's sources, since an older copy of the script may print fewer
+fields:
+
+    PYTHONPATH=<older checkout>/src python tests/fingerprint_rows.py > rows.txt
 
 With `--repeat N` each row is built and solved N times, and the minimum
 over the N runs of its build and of its solve seconds (as `ratsos bench`
@@ -101,8 +108,8 @@ def main():
     saved = None
     if args.compare:
         with open(args.compare) as fh:
-            # the label is all but the last four fields (it may hold spaces)
-            saved = {line.rsplit(" ", 4)[0]: line.rstrip("\n")
+            # the label is all but the last six fields (it may hold spaces)
+            saved = {line.rsplit(" ", 6)[0]: line.rstrip("\n")
                      for line in fh if line.strip()}
     differ = False
     total = [0.0, 0.0]
@@ -111,7 +118,8 @@ def main():
     for label, prob, method, k, order in rows():
         runs = [solve_relaxation(prob, method, k, ratio_order=order)
                 for _ in range(args.repeat or 1)]
-        rep = runs[0].report
+        res = runs[0]
+        rep = res.report
         iterations += rep.iterations
         applies += rep.krylov_applies
         statuses[rep.status] += 1
@@ -123,7 +131,8 @@ def main():
             print(f"{label} build {build_s:.4f} s solve {solve_s:.4f} s",
                   file=sys.stderr, flush=True)
         line = " ".join(map(str, (label, rep.status, rep.iterations,
-                                  repr(rep.primal), fingerprint(rep))))
+                                  repr(rep.primal), repr(res.bound),
+                                  res.certified, fingerprint(rep))))
         if saved is None:
             print(line, flush=True)
             continue

@@ -36,17 +36,15 @@ def _toy_problem(nvars, cliques, constraint_vars=()):
 class TestBuildCliques:
     def test_motzkin_chain_overlaps(self):
         cs = build_cliques(gen_motzkin_chain(3))
-        assert cs.rip_ok
-        assert cs.U == ((1,), (2,), ())
-        assert cs.V == ((), (0,), (1,))
-        assert cs.shared_vars(0, 1) == (2, 3)
+        assert cs.rip_order == (0, 1, 2)
+        assert cs.shared == {(0, 1): (2, 3), (1, 2): (4, 5)}
         # each sphere lives inside its own clique
         assert cs.assign == ((0,), (1,), (2,))
 
     def test_single_ratio(self):
         prob = gen_reznick_chain(3, 1)
         cs = build_cliques(prob)
-        assert cs.num_cliques == 2
+        assert len(cs.cliques) == 2
         prob_single = SrfoProblem(
             nvars=3,
             ratios=[prob.ratios[0]],
@@ -54,8 +52,7 @@ class TestBuildCliques:
             cliques=[(0, 1, 2)],
         )
         cs1 = build_cliques(prob_single)
-        assert cs1.U == ((),)
-        assert cs1.V == ((),)
+        assert cs1.shared == {}
 
     def test_rip_violation_unrepairable(self):
         # a triangle of pair-cliques violates RIP in every order
@@ -69,7 +66,6 @@ class TestBuildCliques:
         # reordering repairs it
         prob = _toy_problem(4, [(0, 1), (2, 3), (0, 2)])
         cs = build_cliques(prob)
-        assert cs.rip_ok
         assert cs.rip_order != (0, 1, 2)
         bad, overlap = cs.given_order_witness
         assert bad == 2
@@ -83,9 +79,9 @@ class TestBuildCliques:
             cliques = [base[i] for i in perm]
             prob = _toy_problem(7, cliques)
             cs = build_cliques(prob)
-            assert cs.rip_ok
+            assert sorted(cs.rip_order) == list(range(len(base)))
 
-    def test_uv_duality_random(self):
+    def test_shared_is_overlap_random(self):
         rng = seeded_rng(89)
         for _ in range(30):
             n = int(rng.integers(4, 16))
@@ -103,11 +99,15 @@ class TestBuildCliques:
                 cs = build_cliques(prob)
             except CliqueStructureError:
                 continue
-            for i in range(cs.num_cliques):
-                for j in cs.U[i]:
-                    assert i in cs.V[j]
-                for j in cs.V[i]:
-                    assert i in cs.U[j]
+            # exactly the overlapping pairs (i < j), each with its overlap,
+            # in ascending (i, j) order: the order the linking rows follow
+            want = {}
+            for i in range(N):
+                for j in range(i + 1, N):
+                    common = set(cliques[i]) & set(cliques[j])
+                    if common:
+                        want[(i, j)] = tuple(sorted(common))
+            assert list(cs.shared.items()) == list(want.items())
 
     def test_coverage_failure(self):
         prob = SrfoProblem(
@@ -171,13 +171,15 @@ class TestEnsureBalls:
         assert len(added) == 2
         assert added[0].poly.terms[(0, 0, 0)] == 3.0
 
-    def test_explicit_radius(self):
+    def test_quartic_supplies_radius(self):
+        # each x_v^2 <= 5 + sqrt(60) on the shekel constraint, so the ball
+        # on a pair of variables has radius twice that
         prob = gen_shekel(2)
         prob.cliques = [(0, 1)] * prob.num_ratios
         cs = build_cliques(prob)
-        prob2 = ensure_ball_constraints(prob, cs, radii=60.0)
+        prob2 = ensure_ball_constraints(prob, cs)
         ball = prob2.constraints[-1]
-        assert ball.poly.terms[(0, 0)] == 60.0
+        assert ball.poly.terms[(0, 0)] == 2 * (5 + np.sqrt(60))
         assert ball.poly.terms[(2, 0)] == -1.0
 
     def test_existing_ball_not_duplicated(self):

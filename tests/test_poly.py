@@ -196,7 +196,7 @@ class TestBasis:
         b = basis(3, (0, 1, 2), 4)
         keys = [grlex_key(mono) for mono in b]
         assert keys == sorted(keys)
-        assert len(set(b.elems)) == len(b.elems)
+        assert len(set(b)) == len(b)
 
     def test_subset_support(self):
         b = basis(5, (1, 3), 3)
@@ -207,7 +207,7 @@ class TestBasis:
     def test_index_roundtrip(self):
         b = basis(3, (0, 1, 2), 3)
         for i, mono in enumerate(b):
-            assert b.index_of(mono) == i
+            assert b.index(mono) == i
 
 
 def _chain_denominator_direct(a, d):

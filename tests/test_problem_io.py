@@ -226,6 +226,12 @@ class TestGenerators:
         )
         assert variable_bounds(free) == [None]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_shekel_quartic_bounds(self, n):
+        # 60 - sum (x_v^2 - 5)^2 >= 0 gives (x_v^2 - 5)^2 <= 60 in every
+        # variable, though the expanded constant 60 - 25n is <= 0 for n >= 3
+        assert variable_bounds(gen_shekel(n)) == [5 + np.sqrt(60)] * n
+
     def test_variable_scales(self):
         # sqrt of each derived bound, 1.0 where none is derivable
         prob = parse("vars x1 x2\nratio: (x1 + x2)/(1)\nconstraint: 4 - x1^2 >= 0\n")

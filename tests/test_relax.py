@@ -180,6 +180,27 @@ class TestStructure:
             assert mono[1] < 2
         assert len(rsdp.eq_rows) == 1  # only the normalization survives
 
+    @pytest.mark.parametrize("text, pivots, value", [
+        # the second pivot, x1, would close the cycle x2 -> x1 -> x2
+        ("vars x1 x2\nratio: (x1)/(1)\n"
+         "constraint: 1 - x1^2 - x2^2 == 0\n"
+         "constraint: 2 - x1^2 - 3*x2^2 == 0\n", [1, None], -np.sqrt(0.5)),
+        # the third constraint finds both of its variables already pivots
+        ("vars x1 x2\nratio: (x1 + x2)/(1)\n"
+         "constraint: 1 - x1^2 == 0\nconstraint: 1 - x2^2 == 0\n"
+         "constraint: 2 - x1^2 - x2^2 == 0\n", [0, 1, None], -2.0),
+    ])
+    def test_quotient_reducer_rejects_unusable_pivots(self, text, pivots, value):
+        # a rejected equality stays a localizing constraint, and the bound
+        # is still the minimum over the variety
+        prob = parse(text)
+        reducer = relax.QuotientReducer(prob.nvars)
+        assert [reducer.try_add(c.poly) for c in prob.constraints] == pivots
+        for k in (1, 2):
+            res = solve_relaxation(prob, "dense", k)
+            assert res.report.status == "optimal"
+            assert res.bound == pytest.approx(value, abs=1e-6)
+
     def test_epigraph_objective_is_value_vars(self):
         # one measure per extended clique, each with its own value c_i as
         # its only objective term
