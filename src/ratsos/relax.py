@@ -1,7 +1,7 @@
 """Compile sum-of-ratios instances into block moment SDPs.
 
-The four ratio methods give every ratio its own pseudo-moment vector and
-differ on two independent axes:
+The four ratio methods give every ratio its own pseudo-moment vector,
+normalized by L_i(q_i) = 1, and differ on two independent axes:
 
   split  one measure per clique, on the clique's variables and constraints
          and linked to the overlapping cliques on their shared variables,
@@ -388,13 +388,15 @@ def _riesz_cols(m, terms, alpha):
 def _ratio_relaxation(prob, method, k, ratio_order):
     """One measure per ratio; `_AXES[method]` gives its split and its mask.
 
-    The split decides each measure's variables and constraints, and which
-    measures are linked on which variables by rows
-    L_{y_i}(x^a q_i) = L_{y_j}(x^a q_j).  Without it every measure is linked
-    to the first and only the first is normalized; with it every clique is
-    normalized, so a = 0 is dropped from the linking rows, where it would
-    repeat two normalization rows.  The mask decides each measure's group,
-    and a linking row is kept only for a in the closure of the group of i.
+    The split picks one clique table: each measure's variables and
+    constraints, and which measures are linked on which variables by rows
+    L_{y_i}(x^a q_i) = L_{y_j}(x^a q_j).  With it the table is that of
+    `build_cliques`; without it every measure takes all variables and
+    constraints and is linked to the first.  Every measure is normalized,
+    L_{y_i}(q_i) = 1, so a = 0 is dropped from the linking rows, where it
+    would repeat two normalization rows.  The mask decides each measure's
+    group, and a linking row is kept only for a in the closure of the group
+    of i.
     """
     split, mask = _AXES[method]
     n = prob.nvars
@@ -407,6 +409,12 @@ def _ratio_relaxation(prob, method, k, ratio_order):
         raise OrderTooSmallError(k, d_min)
     if split:
         cs = build_cliques(prob)
+        cliques, assign, pairs = cs.cliques, cs.assign, cs.shared.items()
+    else:
+        every = tuple(range(n))
+        cliques = [every] * N
+        assign = [range(len(prob.constraints))] * N
+        pairs = [((i, 0), every) for i in range(1, N)]
     if mask == "measure":
         supports = support_sets(prob, ratio_order=order)
         groups = [sign_symmetries(s, n) for s in supports]
@@ -423,11 +431,8 @@ def _ratio_relaxation(prob, method, k, ratio_order):
     cons = [(c.poly, c.equality, f"g{j + 1}") for j, c in enumerate(prob.constraints)]
     for i, r in enumerate(order):
         p, q = prob.ratios[r]
-        if split:
-            vars_, own = cs.cliques[i], [cons[j] for j in cs.assign[i]]
-        else:
-            vars_, own = tuple(range(n)), cons
-        m = _scaled_measure(f"m{i + 1}", vars_, sign * p, q, own, groups[i], tau)
+        own = [cons[j] for j in assign[i]]
+        m = _scaled_measure(f"m{i + 1}", cliques[i], sign * p, q, own, groups[i], tau)
         m.monomials = tuple(a for a in basis(n, m.vars, 2 * k) if m.keeps(a))
         m.offset = rsdp.num_decision
         m.index = {a: m.offset + j for j, a in enumerate(m.monomials)}
@@ -443,23 +448,18 @@ def _ratio_relaxation(prob, method, k, ratio_order):
     for mi in range(N):
         _emit_measure_blocks(rsdp, mi, k, n)
 
-    for m in measures if split else measures[:1]:
+    for m in measures:
         cols, vals = _riesz_cols(m, m.q.sorted_terms(), zero)
         rsdp.add_eq(cols, vals, 1.0)
 
-    if split:
-        pairs = cs.shared.items()
-    else:
-        pairs = [((i, 0), tuple(range(n))) for i in range(1, N)]
     for (i, j), shared in pairs:
         mi, mj = measures[i], measures[j]
         trunc = 2 * k - max(mi.q.degree(), mj.q.degree())
         if trunc < 0:
             continue
         ti, tj = mi.q.sorted_terms(), mj.q.sorted_terms()
-        for alpha in basis(n, shared, trunc):
-            if split and alpha == zero:
-                continue
+        # graded-lex order puts a = 0 first
+        for alpha in basis(n, shared, trunc)[1:]:
             if mi.group is not None and not in_closure(mi.group, alpha):
                 continue
             ci, vi = _riesz_cols(mi, ti, alpha)

@@ -1,12 +1,13 @@
 """Print a fingerprint of each reference row of the solver.
 
-One line per row: label, status, iterations, primal, the reported bound
-(`repr`) and certified flag of the row's `RunResult`, and the first 16 hex
-digits of sha256(y bytes + repr of primal, dual, gap, pinf, dinf, status,
-iterations, schur_blocks).  The rows are the 28 `ratsos bench` rows and
-`rand-srfo` `dense`/`signsym` k=3 at seeds 2, 5, 7001 and 7003, each built
-and solved by `solve_relaxation` as `ratsos bench` does.  A change that
-must leave the solver bit-identical prints the same lines before and after:
+One line per row: label, status, iterations, `krylov_applies`, primal, the
+reported bound (`repr`) and certified flag of the row's `RunResult`, and
+the first 16 hex digits of sha256(y bytes + repr of primal, dual, gap,
+pinf, dinf, status, iterations, schur_blocks).  The rows are the 28
+`ratsos bench` rows and `rand-srfo` `dense`/`signsym` k=3 at seeds 2, 5,
+7001 and 7003, each built and solved by `solve_relaxation` as `ratsos
+bench` does.  A change that must leave the solver bit-identical prints the
+same lines before and after:
 
     PYTHONPATH=src python tests/fingerprint_rows.py > rows.txt
 
@@ -108,8 +109,8 @@ def main():
     saved = None
     if args.compare:
         with open(args.compare) as fh:
-            # the label is all but the last six fields (it may hold spaces)
-            saved = {line.rsplit(" ", 6)[0]: line.rstrip("\n")
+            # the label is all but the last seven fields (it may hold spaces)
+            saved = {line.rsplit(" ", 7)[0]: line.rstrip("\n")
                      for line in fh if line.strip()}
     differ = False
     total = [0.0, 0.0]
@@ -131,7 +132,7 @@ def main():
             print(f"{label} build {build_s:.4f} s solve {solve_s:.4f} s",
                   file=sys.stderr, flush=True)
         line = " ".join(map(str, (label, rep.status, rep.iterations,
-                                  repr(rep.primal), repr(res.bound),
+                                  rep.krylov_applies, repr(rep.primal), repr(res.bound),
                                   res.certified, fingerprint(rep))))
         if saved is None:
             print(line, flush=True)

@@ -55,7 +55,7 @@ class TestSolve:
         assert payload["status"] == "optimal"
         assert 0.0 <= payload["pinf"] <= 1e-8
         assert 0.0 <= payload["dinf"] <= 1e-8
-        # three measures tied by 20 linking rows, each factored on its own
+        # three measures tied by 18 linking rows, each factored on its own
         assert payload["schur_blocks"] == [35, 35, 35]
         assert payload["krylov_applies"] > 0
 

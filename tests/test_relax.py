@@ -116,8 +116,9 @@ class TestStructure:
             assert rsdp.block_size_histogram() == hist, (name, method, k)
 
     def test_pinned_equality_row_counts(self):
-        # dense: normalization plus two linking families truncated at 2k - 2
-        # (1 + 2 * 10 at k=2, 1 + 2 * 35 at k=3)
+        # dense: one normalization per measure plus two linking families
+        # truncated at 2k - 2, a = 0 left out (3 + 2 * 9 at k=2,
+        # 3 + 2 * 34 at k=3)
         for (name, method, k), (_, neq) in self.PINNED.items():
             rsdp = build(self.INSTANCES[name](), method, k)
             assert len(rsdp.eq_rows) == neq, (name, method, k)
@@ -139,6 +140,16 @@ class TestStructure:
         assert rsdp.objective.shape == (rsdp.num_decision,)
         for gid in np.nonzero(rsdp.objective)[0]:
             assert any(lo <= gid < hi for lo, hi in zip(ends, ends[1:]))
+
+    @pytest.mark.parametrize("method", ["dense", "signsym", "cs", "cs-signsym"])
+    def test_every_measure_normalized_on_its_own(self, method):
+        # L_i(q_i) = 1 for every measure i, each row inside its measure's
+        # columns: no row ties one measure's scale to another's
+        rsdp = build(gen_unit_ball_mix(), method, 2)
+        normal = [cols for cols, _, rhs in rsdp.eq_rows if rhs == 1.0]
+        assert len(normal) == len(rsdp.measures) == 3
+        for m, cols in zip(rsdp.measures, normal):
+            assert m.offset <= min(cols) and max(cols) < m.offset + len(m)
 
     def test_signsym_block_accounting(self):
         # moment classes partition the index basis per measure, and within

@@ -446,13 +446,15 @@ def dense_reference_factor(E):
 
 class TestBlockAngularNewton:
     @pytest.mark.parametrize("prob, method, k, sizes, linking", [
-        (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3, [210] * 6, True),
+        # six measures linked only at a = 0 (2k - deg q = 0), which their
+        # normalization rows state: nothing is left linking them
+        (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3, [210] * 6, False),
         (gen_reznick_sparse_chain(5, 2), "cs", 6, [169] * 5, False),
         # one measure per extended clique, linked on the shared variables
         (gen_overlap_chain(8, 1), "epigraph", 3, [44] * 8, True),
         # without cliques: one measure, so one component
         (gen_unit_ball_mix(), "epigraph", 2, [210], False),
-        # 80 linking rows across 3 measures, each measure its own component
+        # 78 linking rows across 3 measures, each measure its own component
         (gen_unit_ball_mix(), "signsym", 4, [55, 95, 165], True),
     ], ids=["rand-srfo-dense", "reznick-sparse-cs", "overlap-epigraph",
             "unit-ball-mix-epigraph", "unit-ball-mix-signsym"])
@@ -462,8 +464,8 @@ class TestBlockAngularNewton:
         assert list(ba.sizes) == sizes
         assert sorted(np.concatenate(ba.vars)) == list(range(sf.num_vars))
         assert bool(ba.r_L) == linking
-        if method == "cs":
-            # one intra row per measure, nothing linking them
+        if method in ("cs", "dense"):
+            # one normalization row per measure, nothing linking them
             assert ba.r_I == sf.num_eq == len(sizes)
 
     @pytest.mark.parametrize("m, rows, rhs, c, value", [
@@ -488,19 +490,21 @@ class TestBlockAngularNewton:
         assert rep.dual == pytest.approx(value, abs=slack)
         assert rep.schur_blocks == (1,) * m
 
-    @pytest.mark.parametrize("prob, method, k", [
-        (gen_reznick_chain(6, 2), "signsym", 6),
-        (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3),
-        # 80 linking rows over 3 components
-        (gen_unit_ball_mix(), "signsym", 4),
+    @pytest.mark.parametrize("prob, method, k, linking", [
+        # one normalization row in each of 5 and 6 components, and no
+        # linking rows
+        (gen_reznick_chain(6, 2), "signsym", 6, False),
+        (gen_rand_srfo(6, 4, 3, 0.2, 1), "dense", 3, False),
+        # 78 linking rows over 3 components
+        (gen_unit_ball_mix(), "signsym", 4, True),
         # 28 linking rows over 8 components
-        (gen_overlap_chain(8, 1), "cs", 3),
+        (gen_overlap_chain(8, 1), "cs", 3, True),
     ], ids=["reznick-chain-signsym", "rand-srfo-dense", "unit-ball-mix-signsym",
             "overlap-chain-cs"])
-    def test_direction_matches_bordered_solve(self, prob, method, k):
+    def test_direction_matches_bordered_solve(self, prob, method, k, linking):
         sf = to_standard_form(build(prob, method, k))
         ba, buf, M = first_iterate_schur(sf)
-        assert len(ba.sizes) > 1 and ba.r_L > 0
+        assert len(ba.sizes) > 1 and ba.r_I > 0 and (ba.r_L > 0) == linking
         E = sf.eq_mat.toarray()
         m, nf = E.shape[1], E.shape[0]
         rhs1 = seeded_rng(5).normal(size=m)
@@ -512,16 +516,19 @@ class TestBlockAngularNewton:
         assert np.linalg.norm(dnu - ref[m:]) <= 1e-9 * np.linalg.norm(ref[m:])
 
     def test_linking_rows_solve_reaches_tolerance(self):
-        # six measures tied by five linking rows: the rounding bound of a
+        # three measures tied by 18 linking rows: the rounding bound of a
         # Cholesky solve does not cover the triangular solves around the
         # linking-row projection, and without checking their residual the
         # solve stalls near_optimal with a growing dual residual
-        sf = to_standard_form(build(gen_rand_srfo(6, 4, 3, 0.2, 1), "signsym", 3))
+        sf = to_standard_form(build(gen_unit_ball_mix(), "dense", 2))
+        _, ba = schur_structure(sf)
+        assert ba.r_L > 0
         rep = solve_internal(sf, tol=1e-8)
         facts = (rep.status, rep.gap, rep.pinf, rep.dinf, rep.iterations)
-        assert rep.schur_blocks == (80, 80, 80, 80, 80, 130)
+        assert rep.schur_blocks == (35, 35, 35)
         assert rep.status == "optimal", facts
-        assert abs(reported_bound(rep) + 6.0) <= 1e-6, facts
+        # the relaxation's value, below the optimum -0.3465101 it reaches at k=3
+        assert abs(reported_bound(rep) + 0.3563465188) <= 1e-8, facts
 
     def test_schur_assembly_matches_gathered_products(self):
         # each group's component matrices against sum_b G_b' (W_b kron W_b) G_b
@@ -692,7 +699,7 @@ class TestDirectKernels:
     def form(self):
         # unit-ball-mix dense k=2: three 10x10 moment blocks and three 4x4
         # localizing blocks, the latter given repeated entries, and
-        # equality rows, 20 of them linking
+        # equality rows, 18 of them linking
         rsdp = build(gen_unit_ball_mix(), "dense", 2)
         blocks = [repeated_entries(b) if kind == "localizing" else b
                   for b, kind in zip(rsdp.blocks, rsdp.block_kind)]
@@ -781,15 +788,15 @@ class TestScipyExtensions:
             assert np.array_equal(a, b)
 
     def test_pivoted_qr_on_intra_and_linking_rows(self, monkeypatch):
-        # unit-ball-mix dense k=2: three components, intra rows in one of
-        # them, and 20 linking rows
+        # unit-ball-mix dense k=2: three components, a normalization row in
+        # each of them, and 18 linking rows
         seen = []
         qr = sdp._pivoted_qr
         monkeypatch.setattr(sdp, "_pivoted_qr", lambda At: seen.append(At) or qr(At))
         ba = sdp._Form(to_standard_form(build(gen_unit_ball_mix(), "dense", 2))).ba
         monkeypatch.undo()
         assert ba.r_I > 0 and ba.r_L > 0
-        assert len(seen) == sum(Q is not None for Q in ba.Q) + 1 == 2
+        assert len(seen) == sum(Q is not None for Q in ba.Q) + 1 == 4
         for At in seen:
             self.assert_qr_matches(At)
 
