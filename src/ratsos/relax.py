@@ -6,13 +6,14 @@ normalized by L_i(q_i) = 1, and differ on two independent axes:
   split  one measure per clique, on the clique's variables and constraints
          and linked to the overlapping cliques on their shared variables,
          or one measure per ratio on all variables, linked to the first
-  mask   no sign-symmetry mask, one mask per measure, or the global mask
-         (block splits and variable restriction to the parity closure)
+  mask   the sign-symmetry group of each measure, which splits its blocks
+         into parity classes and keeps only moments in its closure: the
+         trivial group, one group per measure, or the global group
 
-  dense       no split, no mask
-  signsym     no split, per-measure mask
-  cs          split, no mask
-  cs-signsym  split, global mask
+  dense       no split, trivial group
+  signsym     no split, per-measure group
+  cs          split, trivial group
+  cs-signsym  split, global group
 
 The epigraph baseline is the same two axes applied to the lifted problem
 min sum_i c_i s.t. p_i - c_i q_i = 0: one measure per clique extended by
@@ -29,7 +30,6 @@ the bound are unchanged by that substitution.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,7 +55,7 @@ from .signsym import (
     support_sets,
 )
 
-# ratio method -> (one measure per clique, sign-symmetry mask)
+# ratio method -> (one measure per clique, sign-symmetry group)
 _AXES = {
     "dense": (False, None),
     "signsym": (False, "measure"),
@@ -168,9 +168,11 @@ class Measure:
     """One ratio's pseudo-moment vector and what the build decided for it.
 
     `p`, `q` and `cons` are in the scaled variables, and `cons` leaves out
-    the equalities that `reducer` absorbed.  `monomials` are the kept
-    moments of degree at most 2k, numbered from `offset` in the decision
-    vector; `index` maps each to its column.
+    the equalities that `reducer` absorbed.  `group` is the measure's
+    sign-symmetry group, of rank 0 (the trivial group) for an unmasked
+    method.  `monomials` are the kept moments of degree at most 2k: those
+    in the closure of `group` that `reducer` keeps, numbered from `offset`
+    in the decision vector; `index` maps each to its column.
     """
 
     label: str
@@ -178,7 +180,7 @@ class Measure:
     p: Polynomial
     q: Polynomial
     cons: list            # (g_scaled, equality, name)
-    group: SignSymmetryGroup | None
+    group: SignSymmetryGroup
     reducer: QuotientReducer
     monomials: tuple = ()
     offset: int = 0
@@ -188,9 +190,7 @@ class Measure:
         return len(self.monomials)
 
     def keeps(self, mono):
-        if self.group is not None and not in_closure(self.group, mono):
-            return False
-        return self.reducer.is_kept(mono)
+        return in_closure(self.group, mono) and self.reducer.is_kept(mono)
 
 
 class RelaxationSdp:
@@ -257,54 +257,30 @@ def min_order(prob, method="dense"):
     return max(degs) if degs else 1
 
 
-def _anchor_point(nvars, scaled_cons):
-    """Deterministic near-feasible point in the scaled unit box.
-
-    Used only to normalize each ratio (divide p and q by q(anchor)), which
-    keeps measure masses and dual multipliers near unit scale.  Starts from
-    a uniform interior point and projects onto any diagonal-quadric
-    equalities.
-    """
-    u = np.full(nvars, 0.5)
-    votes = {}
-    for g, is_eq, _ in scaled_cons:
-        if not is_eq:
-            continue
-        pat = diag_quadratic_pattern(g)
-        if pat is None:
-            continue
-        c0, coefs = pat
-        # constant-coordinate solution of the sphere; symmetric, so chained
-        # instances keep their symmetry in the normalization
-        t = math.sqrt(c0 / sum(coefs.values()))
-        for v in coefs:
-            votes.setdefault(v, []).append(t)
-    for v, ts in votes.items():
-        u[v] = sum(ts) / len(ts)
-    return u
-
-
 def _scaled_measure(label, vars_, p, q, cons, group, tau):
     """One ratio measure in the scaled variables, its quotient absorbed."""
     p = p.rescale_vars(tau)
     q = q.rescale_vars(tau)
-    cons = [(g.rescale_vars(tau), e, nm) for g, e, nm in cons]
-    # p/q is invariant under joint positive scaling: dividing both by the
-    # denominator's value at a near-feasible point keeps the measure's mass
-    # near one
-    qa = q.evaluate(_anchor_point(len(tau), cons))
-    if abs(qa) > 1e-8 * max(abs(cq) for cq in q.terms.values()):
-        kappa = 1.0 / abs(qa)
-        p = p * kappa
-        q = q * kappa
     # absorb diagonal-quadric equalities into the measure's quotient
     # basis; anything else stays as localizing equality rows
     reducer = QuotientReducer(len(tau))
     kept_cons = []
     for g, e, nm in cons:
+        g = g.rescale_vars(tau)
         if e and reducer.try_add(g) is not None:
             continue
         kept_cons.append((g, e, nm))
+    # p/q is invariant under joint positive scaling: dividing both by q
+    # rewritten in the quotient, at the box centre (q at a point of the
+    # absorbed equalities), keeps the measure's mass near one; the terms go
+    # in graded-lex order so the bits do not hang on q's term order
+    qbar = Polynomial(len(tau), [(m2, cq * c2) for mono, cq in q.sorted_terms()
+                                 for m2, c2 in reducer.reduce(mono)])
+    qa = qbar.evaluate(np.full(len(tau), 0.5))
+    if abs(qa) > 1e-8 * max(abs(cq) for cq in q.terms.values()):
+        kappa = 1.0 / abs(qa)
+        p = p * kappa
+        q = q * kappa
     return Measure(label, vars_, p, q, kept_cons, group, reducer)
 
 
@@ -332,7 +308,7 @@ def _emit_measure_blocks(rsdp, mi, k, nvars):
                              f"loc[{gname}]", "localizing")
             continue
         for sigma in _block_basis(m, nvars, 2 * (k - dg)):
-            if m.group is not None and not in_closure(m.group, sigma):
+            if not in_closure(m.group, sigma):
                 continue
             cols, vals = _riesz_cols(m, terms, sigma)
             if any(v != 0.0 for v in vals):
@@ -345,11 +321,7 @@ def _emit_localizing(rsdp, mi, terms, sub, name, kind):
     matrix."""
     m = rsdp.measures[mi]
     index = m.index
-    classes = (
-        block_partition(m.group, sub)
-        if m.group is not None
-        else (tuple(range(len(sub))),)
-    )
+    classes = block_partition(m.group, sub)
     # a zero alpha (the moment matrix's one term) shifts nothing
     terms = [(alpha if any(alpha) else None, ca) for alpha, ca in terms]
     reduce = m.reducer.reduce
@@ -421,7 +393,7 @@ def _ratio_relaxation(prob, method, k, ratio_order):
     elif mask == "global":
         groups = [sign_symmetries(global_support(prob), n)] * N
     else:
-        groups = [None] * N
+        groups = [SignSymmetryGroup(n)] * N
 
     tau = variable_scales(prob)
     rsdp = RelaxationSdp(method, k, prob, tau)
@@ -455,12 +427,10 @@ def _ratio_relaxation(prob, method, k, ratio_order):
     for (i, j), shared in pairs:
         mi, mj = measures[i], measures[j]
         trunc = 2 * k - max(mi.q.degree(), mj.q.degree())
-        if trunc < 0:
-            continue
         ti, tj = mi.q.sorted_terms(), mj.q.sorted_terms()
         # graded-lex order puts a = 0 first
         for alpha in basis(n, shared, trunc)[1:]:
-            if mi.group is not None and not in_closure(mi.group, alpha):
+            if not in_closure(mi.group, alpha):
                 continue
             ci, vi = _riesz_cols(mi, ti, alpha)
             cj, vj = _riesz_cols(mj, tj, alpha)

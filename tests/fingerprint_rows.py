@@ -13,7 +13,9 @@ same lines before and after:
 
 With `--compare rows.txt` it prints only the rows whose line differs from
 the saved one (the saved line first, prefixed "-", then the new one, "+")
-and exits 1 if any row differs or is missing on either side:
+and exits 1 if any row differs or is missing on either side.  A line "N of
+M rows differ" goes to stderr before the totals, M counting every row of
+either side, so the share of bit-identical rows reads off directly:
 
     PYTHONPATH=src python tests/fingerprint_rows.py --compare rows.txt
 
@@ -112,7 +114,7 @@ def main():
             # the label is all but the last seven fields (it may hold spaces)
             saved = {line.rsplit(" ", 7)[0]: line.rstrip("\n")
                      for line in fh if line.strip()}
-    differ = False
+    differ = seen = 0
     total = [0.0, 0.0]
     iterations = applies = 0
     statuses = collections.Counter()
@@ -137,16 +139,20 @@ def main():
         if saved is None:
             print(line, flush=True)
             continue
+        seen += 1
         old = saved.pop(label, None)
         if old != line:
-            differ = True
+            differ += 1
             print(f"-{old or label + ' (missing)'}\n+{line}", flush=True)
     for old in (saved or {}).values():
-        differ = True
+        seen += 1
+        differ += 1
         print(f"-{old}\n+(missing)", flush=True)
     if args.repeat:
         print(f"total build {total[0]:.4f} s solve {total[1]:.4f} s "
               f"(min of {args.repeat} per row)", file=sys.stderr)
+    if saved is not None:
+        print(f"{differ} of {seen} rows differ", file=sys.stderr)
     tally = " ".join(f"{status} {n}" for status, n in statuses.most_common())
     print(f"total iterations {iterations} krylov_applies {applies} "
           f"statuses {tally} src_lines {src_lines()} import_s {import_s():.3f}",

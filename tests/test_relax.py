@@ -11,13 +11,14 @@ from ratsos.families import (
     gen_motzkin_chain,
     gen_overlap_chain,
     gen_rand_srfo,
+    gen_reznick_chain,
     gen_reznick_sparse_chain,
     gen_rosenbrock_ratio,
     gen_unit_ball_mix,
 )
 from ratsos.oracle import grid_oracle
 from ratsos.poly import Polynomial, basis, full_basis
-from ratsos.problem import Constraint, SrfoProblem, parse
+from ratsos.problem import Constraint, SrfoProblem, parse, serialize
 from ratsos.relax import (
     build,
     dirac_decision_vector,
@@ -27,7 +28,12 @@ from ratsos.relax import (
     solve_relaxation,
 )
 from ratsos.sdp import solve_internal, to_standard_form
-from ratsos.signsym import in_closure, sign_symmetries, support_sets
+from ratsos.signsym import (
+    SignSymmetryGroup,
+    in_closure,
+    sign_symmetries,
+    support_sets,
+)
 from util import scipy_csr, seeded_rng
 
 
@@ -150,6 +156,40 @@ class TestStructure:
         assert len(normal) == len(rsdp.measures) == 3
         for m, cols in zip(rsdp.measures, normal):
             assert m.offset <= min(cols) and max(cols) < m.offset + len(m)
+
+    @pytest.mark.parametrize("prob, method, k", [
+        (gen_reznick_chain(6, 2), "dense", 6),
+        (gen_reznick_sparse_chain(5, 2), "cs", 6),
+        (gen_unit_ball_mix(), "signsym", 2),
+        (gen_rosenbrock_ratio(10), "cs-signsym", 2),
+    ], ids=["reznick-chain-dense", "reznick-sparse-chain-cs",
+            "unit-ball-mix-signsym", "rosenbrock-ratio-cs-signsym"])
+    def test_every_measure_has_a_group_and_unit_mass(self, prob, method, k):
+        # every measure carries a sign-symmetry group, the trivial one for an
+        # unmasked method, and its q rewritten in its own quotient is +-1 at
+        # the centre of the scaled unit box
+        rsdp = build(prob, method, k)
+        centre = np.full(prob.nvars, 0.5)
+        for m in rsdp.measures:
+            assert isinstance(m.group, SignSymmetryGroup)
+            if method in ("dense", "cs"):
+                assert m.group.rank == 0
+            qbar = Polynomial(prob.nvars, [
+                (m2, c * c2) for mono, c in m.q.terms.items()
+                for m2, c2 in m.reducer.reduce(mono)
+            ])
+            assert abs(abs(qbar.evaluate(centre)) - 1.0) <= 1e-12, m.label
+
+    def test_mass_does_not_hang_on_term_order(self):
+        # the generated and the reparsed sphere chain hold the same terms in
+        # another order; their measures must be scaled to the same bits
+        prob = gen_reznick_chain(6, 2)
+        reparsed = parse(serialize(prob))
+        assert [list(q.terms) for _, q in prob.ratios] != [
+            list(q.terms) for _, q in reparsed.ratios]
+        for a, b in zip(build(prob, "dense", 6).measures,
+                        build(reparsed, "dense", 6).measures):
+            assert a.q.terms == b.q.terms and a.p.terms == b.p.terms, a.label
 
     def test_signsym_block_accounting(self):
         # moment classes partition the index basis per measure, and within
