@@ -36,7 +36,7 @@ from .families import (
 )
 from .poly import full_basis
 from .problem import parse, serialize
-from .relax import METHODS, build, min_order, solve_relaxation
+from .relax import METHODS, QuotientReducer, build, min_order, solve_relaxation
 from .sdp import export_sdpa, to_standard_form
 from .signsym import block_partition, global_support, sign_symmetries, support_sets
 
@@ -185,11 +185,17 @@ def cmd_analyze(args):
         )
     gglobal = sign_symmetries(global_support(prob), n)
     lines.append(f"global group rank {gglobal.rank}")
+    # the moment blocks are on the quotient basis of the equalities
+    reducer = QuotientReducer(n)
+    for con in prob.constraints:
+        if con.equality:
+            reducer.try_add(con.poly)
     d_min = min_order(prob, "dense")
     for k in range(d_min, d_min + 3):
+        kept = [mono for mono in full_basis(n, k) if reducer.is_kept(mono)]
         hists = []
         for group in groups:
-            part = block_partition(group, full_basis(n, k))
+            part = block_partition(group, kept)
             sizes = {}
             for cls in part:
                 sizes[len(cls)] = sizes.get(len(cls), 0) + 1

@@ -220,26 +220,6 @@ class RelaxationSdp:
     def block_size_histogram(self):
         return dict(sorted(Counter(b.size for b in self.blocks).items()))
 
-    def moment_matrix(self, report, m):
-        """Masked moment matrix of measure m at the relaxation's order."""
-        mb = basis(len(self.var_scale), m.vars, self.order)
-        M = np.zeros((len(mb), len(mb)))
-        y = report.y
-        for a, beta in enumerate(mb):
-            for b in range(a, len(mb)):
-                val = 0.0
-                known = True
-                for m2, c2 in m.reducer.reduce(mono_mul(beta, mb[b])):
-                    gid = m.index.get(m2)
-                    if gid is None:
-                        known = False
-                        break
-                    val += c2 * y[gid]
-                if known:
-                    M[a, b] = M[b, a] = val
-        return M
-
-
 def _half_deg(poly):
     return (poly.degree() + 1) // 2
 
@@ -527,16 +507,6 @@ def dirac_decision_vector(rsdp, point):
 RANK_TOL = 1e-6
 
 
-def _numerical_rank(M):
-    if M.size == 0:
-        return 0
-    svals = np.linalg.svd(M, compute_uv=False)
-    top = svals.max()
-    if top <= 0.0:
-        return 0
-    return int((svals > RANK_TOL * top).sum())
-
-
 def flatness_certificate(rsdp, report):
     """Flat-truncation check on the first measure's moment matrix.
 
@@ -545,8 +515,12 @@ def flatness_certificate(rsdp, report):
     constraint half-degree; the lowest pair is skipped when k-d-1 < 0).
     The one-pair equality alone admits false positives when a sub-optimal
     pseudo-moment vector is itself atomic, so the certificate insists the
-    rank has settled rather than merely repeated once.  Only meaningful for
-    dense and signsym relaxations.
+    rank has settled rather than merely repeated once.  M_k is read from
+    the moment blocks the build emitted for the first measure, one per
+    sign-symmetry class on the quotient basis; graded order keeps a
+    class's members of degree at most s a prefix of it, so M_s is made of
+    the leading principal parts of the blocks.  Only meaningful for dense
+    and signsym relaxations.
     """
     if rsdp.method not in ("dense", "signsym"):
         raise BuildError("flatness check applies to dense/signsym relaxations")
@@ -560,12 +534,19 @@ def flatness_certificate(rsdp, report):
     orders = [k, k - d]
     if k - d - 1 >= 0:
         orders.append(k - d - 1)
-    # the graded basis of a lower order is a prefix of order k's, so each
-    # M_s is a leading principal block of M_k
     m = rsdp.measures[0]
-    M = rsdp.moment_matrix(report, m)
-    sizes = [len(basis(len(rsdp.var_scale), m.vars, s)) for s in orders]
-    ranks = [_numerical_rank(M[:n, :n]) for n in sizes]
+    sub = _block_basis(m, len(rsdp.var_scale), k)
+    blocks = (b for b, mi, kind in zip(rsdp.blocks, rsdp.block_measure, rsdp.block_kind)
+              if mi == 0 and kind == "moment")
+    svals = [[] for _ in orders]
+    for cls, blk in zip(block_partition(m.group, sub), blocks):
+        M = np.zeros((blk.size, blk.size))
+        np.add.at(M, (blk.rows, blk.cols), blk.coefs * report.y[blk.varids])
+        M += np.triu(M, 1).T  # the entries are stored with i <= j
+        for sv, s in zip(svals, orders):
+            n = sum(sum(sub[i]) <= s for i in cls)
+            sv.extend(np.linalg.svd(M[:n, :n], compute_uv=False))
+    ranks = [int((np.array(sv) > RANK_TOL * max(sv)).sum()) for sv in svals]
     return all(r == ranks[0] for r in ranks)
 
 

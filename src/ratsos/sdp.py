@@ -705,7 +705,6 @@ def _nt_factor_stack(X, S):
     Lx = np.linalg.cholesky(X)
     Ls = np.linalg.cholesky(S)
     _, lam, Vt = np.linalg.svd(Ls.transpose(0, 2, 1) @ Lx)
-    lam = np.maximum(lam, 1e-300)
     R = (Lx @ Vt.transpose(0, 2, 1)) / np.sqrt(lam)[:, None, :]
     W = R @ R.transpose(0, 2, 1)
     return R, lam, W
@@ -717,7 +716,7 @@ def _min_steps(lam, Ds, Dx):
     root = np.sqrt(np.concatenate((lam, lam)))
     scaled = np.concatenate((Ds, Dx)) / root[:, :, None] / root[:, None, :]
     emin = np.linalg.eigvalsh(_sym(scaled))[:, 0].reshape(2, -1)
-    steps = np.divide(-1.0, emin, out=np.full_like(emin, np.inf), where=emin < -1e-14)
+    steps = np.divide(-1.0, emin, out=np.full_like(emin, np.inf), where=emin < 0)
     ap, ad = steps.min(axis=1)
     return float(ap), float(ad)
 
@@ -871,8 +870,8 @@ class _Scaling:
 
         The affine predictor aims at zero complementarity; the gap it would
         reach sets the centering sigma = (mu_aff / mu)^3 (Mehrotra 1992),
-        clamped to [1e-12, 0.999], and the corrector adds its second-order
-        term, all in the NT-scaled space.
+        capped at 0.999, and the corrector adds its second-order term, all
+        in the NT-scaled space.
         """
         it, form = self.it, self.it.form
         G_aff = []
@@ -889,7 +888,7 @@ class _Scaling:
             for X, S, dX, dS in zip(it.X, it.S, dX_a, dS_a)
         )
         mu_aff = max(gap_aff / form.dim, 0.0)
-        sigma = min(0.999, max(1e-12, (mu_aff / it.mu) ** 3))
+        sigma = min(0.999, (mu_aff / it.mu) ** 3)
 
         # corrector with second-order term in the scaled space
         G_corr = []
@@ -913,7 +912,7 @@ class _Scaling:
         dy, dnu = self.solve(rhs1)
         dS, dX, Ds, Dx = [], [], [], []
         for g, R, Rt, G, Rl in zip(self.groups, self.R, self.Rt, Gt, self.it.Rlmi):
-            dS.append(_sym(g.lmi_step(dy) + Rl))
+            dS.append(g.lmi_step(dy) + Rl)
             Ds.append(_sym(Rt @ dS[-1] @ R))
             Dx.append(G - Ds[-1])
             dX.append(_sym(R @ Dx[-1] @ Rt))
@@ -922,7 +921,7 @@ class _Scaling:
     def step_lengths(self, direction):
         """(ap, ad): fractions of the longest steps that keep S and X PSD."""
         aps, ads = zip(*map(_min_steps, self.lam, *direction[4:]))
-        ap, ad = min([np.inf, *aps]), min([np.inf, *ads])
+        ap, ad = min(aps), min(ads)
         # step fraction approaches 1 as full steps become possible
         gamma = 0.9 + 0.09 * min(1.0, ap, ad)
         return min(1.0, gamma * ap), min(1.0, gamma * ad)
@@ -1099,11 +1098,8 @@ def solve_internal(sf, tol=1e-8, max_iter=200):
             except (ValueError, np.linalg.LinAlgError):
                 status = "numerical_issue"
                 break
-            if min(ap, ad) < 1e-8:
-                status = "stalled"
-            else:
-                it = it.step(ap, ad, direction)
-                continue
+            it = it.step(ap, ad, direction)
+            continue
         break
 
     # best.err > tol: an iterate within tol ends the loop as optimal

@@ -6,16 +6,22 @@ the first 16 hex digits of sha256(y bytes + repr of primal, dual, gap,
 pinf, dinf, status, iterations, schur_blocks).  The rows are the 28
 `ratsos bench` rows and `rand-srfo` `dense`/`signsym` k=3 at seeds 2, 5,
 7001 and 7003, each built and solved by `solve_relaxation` as `ratsos
-bench` does.  A change that must leave the solver bit-identical prints the
-same lines before and after:
+bench` does.  After the rows comes one line per probe (`PROBES`, each
+solved by `dense` at k=2 on the variables x1 and x2): label, status,
+iterations, the reported bound (`repr`) and certified flag.  The probes
+break the method's precondition (a denominator not positive on K, an
+empty K, a pinned variable), so these lines show what the pipeline reports
+where it cannot hold a sound bound.  A change that must leave the solver
+bit-identical prints the same lines before and after:
 
     PYTHONPATH=src python tests/fingerprint_rows.py > rows.txt
 
-With `--compare rows.txt` it prints only the rows whose line differs from
-the saved one (the saved line first, prefixed "-", then the new one, "+")
-and exits 1 if any row differs or is missing on either side.  A line "N of
-M rows differ" goes to stderr before the totals, M counting every row of
-either side, so the share of bit-identical rows reads off directly:
+With `--compare rows.txt` it prints only the rows and probes whose line
+differs from the saved one (the saved line first, prefixed "-", then the
+new one, "+") and exits 1 if any differs or is missing on either side.  A
+line "N of M rows differ, P of Q probes differ" goes to stderr before the
+totals, M and Q counting every row and probe of either side, so the share
+of bit-identical rows reads off directly:
 
     PYTHONPATH=src python tests/fingerprint_rows.py --compare rows.txt
 
@@ -32,12 +38,12 @@ the same as without it, so `--compare` works alongside:
 
     PYTHONPATH=src python tests/fingerprint_rows.py --repeat 3 > rows.txt 2> times.txt
 
-The summed iterations and `krylov_applies` over the rows, how many rows
-ended in each status, the summed line count of `src/ratsos/*.py` and
-`import_s`, the least of three fresh-interpreter timings of
-`import ratsos.cli` in seconds, go to stderr as a last line, so a run
-states the totals a solver change is judged by, and the code size and
-start-up cost next to them.
+The summed iterations and `krylov_applies` over the rows (the probes
+left out), how many rows ended in each status, the summed line count of
+`src/ratsos/*.py` and `import_s`, the least of three fresh-interpreter
+timings of `import ratsos.cli` in seconds, go to stderr as a last line, so
+a run states the totals a solver change is judged by, and the code size
+and start-up cost next to them.
 
 It takes about 12 s on one core of a shared 2-core box, N times that with
 `--repeat N`.
@@ -54,6 +60,7 @@ import sys
 import ratsos
 from ratsos.cli import BENCH_TABLES, _bench_rows
 from ratsos.families import gen_rand_srfo
+from ratsos.problem import parse
 from ratsos.relax import solve_relaxation
 
 
@@ -73,6 +80,26 @@ def rows():
         prob = gen_rand_srfo(6, 4, 3, 0.2, seed)
         for method in ("dense", "signsym"):
             yield f"srfo{seed}:{method}:3", prob, method, 3, None
+
+
+DISK = "constraint: 1 - x1^2 - x2^2 >= 0\n"
+
+# (label, ratio and constraint lines) of the probes, each solved by `dense`
+# at k=2
+PROBES = (
+    ("1/x1", "ratio: (1)/(x1)\n" + DISK),
+    ("1/(x1 - 2)", "ratio: (1)/(x1 - 2)\n" + DISK),
+    ("x2/(x1^2 + x2^2)", "ratio: (x2)/(x1^2 + x2^2)\n" + DISK),
+    ("x1/1 empty", "ratio: (x1)/(1)\n" + DISK + "constraint: x1^2 + x2^2 - 2 >= 0\n"),
+    ("(x1 + x2)/1 pinned", "ratio: (x1 + x2)/(1)\n"
+     "constraint: -x1^4 >= 0\nconstraint: 1 - x2^2 >= 0\n"),
+)
+
+
+def probes():
+    """(label, problem) of every probe, on the variables x1 and x2."""
+    for label, text in PROBES:
+        yield f"probe:{label}", parse("vars x1 x2\n" + text)
 
 
 def src_lines():
@@ -111,10 +138,24 @@ def main():
     saved = None
     if args.compare:
         with open(args.compare) as fh:
-            # the label is all but the last seven fields (it may hold spaces)
-            saved = {line.rsplit(" ", 7)[0]: line.rstrip("\n")
-                     for line in fh if line.strip()}
-    differ = seen = 0
+            # the label is all but the last seven fields of a row and the
+            # last four of a probe (it may hold spaces)
+            saved = {line.rsplit(" ", 4 if line.startswith("probe:") else 7)[0]:
+                     line.rstrip("\n") for line in fh if line.strip()}
+    differ = collections.Counter()
+    seen = collections.Counter()
+
+    def report(kind, label, fields):
+        line = " ".join(map(str, (label, *fields)))
+        if saved is None:
+            print(line, flush=True)
+            return
+        seen[kind] += 1
+        old = saved.pop(label, None)
+        if old != line:
+            differ[kind] += 1
+            print(f"-{old or label + ' (missing)'}\n+{line}", flush=True)
+
     total = [0.0, 0.0]
     iterations = applies = 0
     statuses = collections.Counter()
@@ -133,31 +174,30 @@ def main():
             total[1] += solve_s
             print(f"{label} build {build_s:.4f} s solve {solve_s:.4f} s",
                   file=sys.stderr, flush=True)
-        line = " ".join(map(str, (label, rep.status, rep.iterations,
-                                  rep.krylov_applies, repr(rep.primal), repr(res.bound),
-                                  res.certified, fingerprint(rep))))
-        if saved is None:
-            print(line, flush=True)
-            continue
-        seen += 1
-        old = saved.pop(label, None)
-        if old != line:
-            differ += 1
-            print(f"-{old or label + ' (missing)'}\n+{line}", flush=True)
+        report("rows", label, (rep.status, rep.iterations, rep.krylov_applies,
+                               repr(rep.primal), repr(res.bound), res.certified,
+                               fingerprint(rep)))
+    for label, prob in probes():
+        res = solve_relaxation(prob, "dense", 2)
+        report("probes", label, (res.report.status, res.report.iterations,
+                                 repr(res.bound), res.certified))
     for old in (saved or {}).values():
-        seen += 1
-        differ += 1
+        kind = "probes" if old.startswith("probe:") else "rows"
+        seen[kind] += 1
+        differ[kind] += 1
         print(f"-{old}\n+(missing)", flush=True)
     if args.repeat:
         print(f"total build {total[0]:.4f} s solve {total[1]:.4f} s "
               f"(min of {args.repeat} per row)", file=sys.stderr)
     if saved is not None:
-        print(f"{differ} of {seen} rows differ", file=sys.stderr)
+        print(f"{differ['rows']} of {seen['rows']} rows differ, "
+              f"{differ['probes']} of {seen['probes']} probes differ",
+              file=sys.stderr)
     tally = " ".join(f"{status} {n}" for status, n in statuses.most_common())
     print(f"total iterations {iterations} krylov_applies {applies} "
           f"statuses {tally} src_lines {src_lines()} import_s {import_s():.3f}",
           file=sys.stderr)
-    return 1 if differ else 0
+    return 1 if differ.total() else 0
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,24 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "violated by the given order at clique 3" in out
         assert "repaired order" in out
+
+    def test_histograms_match_the_built_blocks(self, capsys, tmp_path):
+        # the sphere equalities shrink every block to the quotient basis
+        target = tmp_path / "chain.srfo"
+        assert main(["gen", "reznick", "--M", "6", "--d", "2", "--out", str(target)]) == 0
+        assert main(["analyze", str(target)]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("order 6 moment-block histograms: "))
+        hists = line.split(": ", 1)[1].split(" | ")
+        rsdp = relax.build(parse(target.read_text()), "signsym", 6)
+        assert len(hists) == len(rsdp.measures) == 5
+        for mi, hist in enumerate(hists):
+            sizes = Counter(b.size for b, i, kind in zip(
+                rsdp.blocks, rsdp.block_measure, rsdp.block_kind)
+                if i == mi and kind == "moment")
+            assert hist == "{" + ", ".join(
+                f"{s}x{c}" for s, c in sorted(sizes.items(), reverse=True)) + "}"
+        assert hists[0] == "{10x1, 6x6, 3x1}"
 
 
 class TestGen:

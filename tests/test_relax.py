@@ -473,6 +473,21 @@ class TestFlatness:
         assert flatness_certificate(r2.rsdp, r2.report) is False
         assert flatness_certificate(r3.rsdp, r3.report) is True
 
+    def test_ball_mix_levels_on_class_blocks(self):
+        # signsym reaches the optimum one order after dense; the first
+        # measure's group has rank 0 here, so its moment matrix is one block
+        prob = gen_unit_ball_mix()
+        assert solve_relaxation(prob, "signsym", 3).certified is False
+        assert solve_relaxation(prob, "signsym", 4).certified is True
+
+    def test_sphere_quotient_blocks(self):
+        # the first measure's moment matrix is three class blocks on the
+        # quotient basis of the sphere equalities
+        res = solve_relaxation(gen_reznick_chain(6, 2), "signsym", 6)
+        m = res.rsdp.measures[0]
+        assert m.group.rank > 0 and m.reducer.relations
+        assert res.certified is True
+
     def test_dirac_vector_is_flat(self):
         prob = gen_unit_ball_mix()
         rsdp = build(prob, "dense", 2)
