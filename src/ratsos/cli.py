@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-import time
+from collections import Counter
 
 from . import __version__
 from .corrsparse import build_cliques, ensure_ball_constraints
@@ -34,11 +34,9 @@ from .families import (
     gen_rosenbrock_ratio,
     gen_unit_ball_mix,
 )
-from .poly import full_basis
 from .problem import parse, serialize
-from .relax import METHODS, QuotientReducer, build, min_order, solve_relaxation
+from .relax import METHODS, build, min_order, setup_measures, solve_relaxation
 from .sdp import export_sdpa, to_standard_form
-from .signsym import block_partition, global_support, sign_symmetries, support_sets
 
 EXIT_SOLVE_NOT_OK = 1
 EXIT_PARSE = 3
@@ -78,8 +76,8 @@ def _result_payload(prob, res):
     return {
         "schema": SCHEMA_VERSION,
         "problem": prob.name or "<unnamed>",
-        "method": res.method,
-        "k": res.order,
+        "method": res.rsdp.method,
+        "k": res.rsdp.order,
         "bound": _number(res.bound),
         "primal": _number(res.primal),
         "dual": _number(res.dual),
@@ -168,37 +166,27 @@ def cmd_solve(args):
 
 def cmd_analyze(args):
     prob = _load_problem(args.file)
-    n = prob.nvars
     lines = [f"problem {prob.name or '<unnamed>'}: "
-             f"{n} variables, {prob.num_ratios} ratios, "
+             f"{prob.nvars} variables, {prob.num_ratios} ratios, "
              f"{len(prob.constraints)} constraints"]
-    sets = support_sets(prob)
-    groups = [sign_symmetries(s, n) for s in sets]
+    # the measures `signsym` builds, on the quotient basis of the equalities
+    measures = setup_measures(prob, "signsym", range(prob.num_ratios))[0]
     names = prob.names()
-    for i, group in enumerate(groups):
+    for i, m in enumerate(measures):
         vecs = [
-            "".join(str(b) for b in vec) for vec in group.basis_vectors()
+            "".join(str(b) for b in vec) for vec in m.group.basis_vectors()
         ]
         lines.append(
-            f"measure {i + 1}: sign-symmetry rank {group.rank}"
+            f"measure {i + 1}: sign-symmetry rank {m.group.rank}"
             + (f", basis {{{', '.join(vecs)}}}" if vecs else "")
         )
-    gglobal = sign_symmetries(global_support(prob), n)
-    lines.append(f"global group rank {gglobal.rank}")
-    # the moment blocks are on the quotient basis of the equalities
-    reducer = QuotientReducer(n)
-    for con in prob.constraints:
-        if con.equality:
-            reducer.try_add(con.poly)
+    # the first measure's group is that of the global support
+    lines.append(f"global group rank {measures[0].group.rank}")
     d_min = min_order(prob, "dense")
     for k in range(d_min, d_min + 3):
-        kept = [mono for mono in full_basis(n, k) if reducer.is_kept(mono)]
         hists = []
-        for group in groups:
-            part = block_partition(group, kept)
-            sizes = {}
-            for cls in part:
-                sizes[len(cls)] = sizes.get(len(cls), 0) + 1
+        for m in measures:
+            sizes = Counter(len(c) for c in m.classes(k))
             hists.append(
                 "{" + ", ".join(f"{s}x{c}" for s, c in sorted(sizes.items(), reverse=True)) + "}"
             )

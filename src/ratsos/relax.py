@@ -172,7 +172,9 @@ class Measure:
     sign-symmetry group, of rank 0 (the trivial group) for an unmasked
     method.  `monomials` are the kept moments of degree at most 2k: those
     in the closure of `group` that `reducer` keeps, numbered from `offset`
-    in the decision vector; `index` maps each to its column.
+    in the decision vector; `index` maps each to its column.  `moment`
+    holds the (class, block) pairs of its moment matrix once emitted, one
+    per class of `classes(k)`.
     """
 
     label: str
@@ -185,12 +187,27 @@ class Measure:
     monomials: tuple = ()
     offset: int = 0
     index: dict = field(default_factory=dict)
+    moment: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.monomials)
 
     def keeps(self, mono):
         return in_closure(self.group, mono) and self.reducer.is_kept(mono)
+
+    def classes(self, order):
+        """The block basis of degree at most `order`: the monomials on the
+        measure's variables that `reducer` keeps, one list per parity class
+        of `group`.
+
+        Dropping reducible monomials is an exact congruence (the full matrix
+        is T M~ T' with T of full column rank) and restores a strictly
+        feasible moment block, which the full basis never has on an
+        equality variety.
+        """
+        sub = [mono for mono in basis(self.group.n, self.vars, order)
+               if self.reducer.is_kept(mono)]
+        return [[sub[i] for i in cls] for cls in block_partition(self.group, sub)]
 
 
 class RelaxationSdp:
@@ -203,16 +220,9 @@ class RelaxationSdp:
         self.var_scale = np.asarray(var_scale, dtype=float)
         self.measures = []
         self.blocks = []
-        self.block_measure = []
-        self.block_kind = []
         self.eq_rows = []
         self.objective = None
         self.num_decision = 0
-
-    def add_block(self, block, measure, kind):
-        self.blocks.append(block)
-        self.block_measure.append(measure)
-        self.block_kind.append(kind)
 
     def add_eq(self, cols, vals, rhs):
         self.eq_rows.append((tuple(cols), tuple(vals), float(rhs)))
@@ -264,50 +274,37 @@ def _scaled_measure(label, vars_, p, q, cons, group, tau):
     return Measure(label, vars_, p, q, kept_cons, group, reducer)
 
 
-def _block_basis(m, nvars, order):
-    """Block index basis: quotient representatives only.
-
-    Dropping reducible monomials is an exact congruence (the full matrix is
-    T M~ T' with T of full column rank) and restores a strictly feasible
-    moment block, which the full basis never has on an equality variety.
-    """
-    return [mono for mono in basis(nvars, m.vars, order) if m.reducer.is_kept(mono)]
-
-
-def _emit_measure_blocks(rsdp, mi, k, nvars):
+def _emit_measure_blocks(rsdp, m, k):
     """Moment block, localizing blocks and localizing equality rows of
-    measure mi; k is at least every constraint's half-degree (`min_order`)."""
-    m = rsdp.measures[mi]
+    measure m; k is at least every constraint's half-degree (`min_order`)."""
+    nvars = m.group.n
     one = (((0,) * nvars, 1.0),)
-    _emit_localizing(rsdp, mi, one, _block_basis(m, nvars, k), "moment", "moment")
+    m.moment = _emit_localizing(rsdp, m, one, m.classes(k), "moment")
     for g, is_eq, gname in m.cons:
         dg = _half_deg(g)
         terms = g.sorted_terms()
         if not is_eq:
-            _emit_localizing(rsdp, mi, terms, _block_basis(m, nvars, k - dg),
-                             f"loc[{gname}]", "localizing")
+            _emit_localizing(rsdp, m, terms, m.classes(k - dg), f"loc[{gname}]")
             continue
-        for sigma in _block_basis(m, nvars, 2 * (k - dg)):
-            if not in_closure(m.group, sigma):
+        for sigma in basis(nvars, m.vars, 2 * (k - dg)):
+            if not m.keeps(sigma):
                 continue
             cols, vals = _riesz_cols(m, terms, sigma)
             if any(v != 0.0 for v in vals):
                 rsdp.add_eq(cols, vals, 0.0)
 
 
-def _emit_localizing(rsdp, mi, terms, sub, name, kind):
-    """Localizing matrix of g (its sorted terms) on basis `sub` for measure
-    mi, one PSD block per sign-symmetry class; g = 1 gives the moment
-    matrix."""
-    m = rsdp.measures[mi]
+def _emit_localizing(rsdp, m, terms, classes, name):
+    """Localizing matrix of g (its sorted terms) for measure m, one PSD
+    block per class of monomials, appended to `rsdp.blocks`; g = 1 gives
+    the moment matrix.  Returns the (class, block) pairs."""
     index = m.index
-    classes = block_partition(m.group, sub)
     # a zero alpha (the moment matrix's one term) shifts nothing
     terms = [(alpha if any(alpha) else None, ca) for alpha, ca in terms]
     reduce = m.reducer.reduce
-    for ci, cls in enumerate(classes):
+    out = []
+    for ci, monos in enumerate(classes):
         rows, cols, vids, coefs = [], [], [], []
-        monos = [sub[i] for i in cls]
         for a, beta in enumerate(monos):
             for b in range(a, len(monos)):
                 base = mono_mul(beta, monos[b])
@@ -318,11 +315,10 @@ def _emit_localizing(rsdp, mi, terms, sub, name, kind):
                         cols.append(b)
                         vids.append(index[m2])
                         coefs.append(ca * c2)
-        rsdp.add_block(
-            psd_block(f"{m.label}:{name}:{ci}", len(cls), rows, cols, vids, coefs),
-            mi,
-            kind,
-        )
+        blk = psd_block(f"{m.label}:{name}:{ci}", len(monos), rows, cols, vids, coefs)
+        rsdp.blocks.append(blk)
+        out.append((monos, blk))
+    return out
 
 
 def _riesz_cols(m, terms, alpha):
@@ -337,28 +333,21 @@ def _riesz_cols(m, terms, alpha):
     return cols, [acc[gid] for gid in cols]
 
 
-def _ratio_relaxation(prob, method, k, ratio_order):
-    """One measure per ratio; `_AXES[method]` gives its split and its mask.
+def setup_measures(prob, method, order):
+    """The measures of a ratio method, one per ratio in `order` (a
+    permutation of the ratio indices), as `(measures, pairs, tau)`.
 
-    The split picks one clique table: each measure's variables and
-    constraints, and which measures are linked on which variables by rows
-    L_{y_i}(x^a q_i) = L_{y_j}(x^a q_j).  With it the table is that of
-    `build_cliques`; without it every measure takes all variables and
-    constraints and is linked to the first.  Every measure is normalized,
-    L_{y_i}(q_i) = 1, so a = 0 is dropped from the linking rows, where it
-    would repeat two normalization rows.  The mask decides each measure's
-    group, and a linking row is kept only for a in the closure of the group
-    of i.
+    `_AXES[method]` gives the split and the mask.  The split picks one
+    clique table: each measure's variables and constraints, and `pairs`,
+    which measures are linked on which shared variables.  With it the table
+    is that of `build_cliques`; without it every measure takes all
+    variables and constraints and is linked to the first.  The mask decides
+    each measure's group.  `tau` holds the variable scales; each measure is
+    in the scaled variables, its quotient absorbed (`_scaled_measure`).
     """
     split, mask = _AXES[method]
     n = prob.nvars
     N = prob.num_ratios
-    order = list(ratio_order) if ratio_order is not None else list(range(N))
-    if sorted(order) != list(range(N)):
-        raise BuildError(f"ratio_order {order} is not a permutation of 0..{N - 1}")
-    d_min = min_order(prob)
-    if k < d_min:
-        raise OrderTooSmallError(k, d_min)
     if split:
         cs = build_cliques(prob)
         cliques, assign, pairs = cs.cliques, cs.assign, cs.shared.items()
@@ -376,20 +365,42 @@ def _ratio_relaxation(prob, method, k, ratio_order):
         groups = [SignSymmetryGroup(n)] * N
 
     tau = variable_scales(prob)
-    rsdp = RelaxationSdp(method, k, prob, tau)
-    measures = rsdp.measures
-
     sign = -1.0 if prob.maximize else 1.0
     cons = [(c.poly, c.equality, f"g{j + 1}") for j, c in enumerate(prob.constraints)]
+    measures = []
     for i, r in enumerate(order):
         p, q = prob.ratios[r]
         own = [cons[j] for j in assign[i]]
-        m = _scaled_measure(f"m{i + 1}", cliques[i], sign * p, q, own, groups[i], tau)
+        measures.append(
+            _scaled_measure(f"m{i + 1}", cliques[i], sign * p, q, own, groups[i], tau))
+    return measures, pairs, tau
+
+
+def _ratio_relaxation(prob, method, k, ratio_order):
+    """One measure per ratio, set up by `setup_measures`.
+
+    Every measure is normalized, L_{y_i}(q_i) = 1, and each pair of linked
+    measures gets rows L_{y_i}(x^a q_i) = L_{y_j}(x^a q_j) on its shared
+    variables; a = 0 is dropped from the linking rows, where it would
+    repeat two normalization rows, and a linking row is kept only for a in
+    the closure of the group of i.
+    """
+    n = prob.nvars
+    N = prob.num_ratios
+    order = list(ratio_order) if ratio_order is not None else list(range(N))
+    if sorted(order) != list(range(N)):
+        raise BuildError(f"ratio_order {order} is not a permutation of 0..{N - 1}")
+    d_min = min_order(prob)
+    if k < d_min:
+        raise OrderTooSmallError(k, d_min)
+    measures, pairs, tau = setup_measures(prob, method, order)
+    rsdp = RelaxationSdp(method, k, prob, tau)
+    rsdp.measures = measures
+    for m in measures:
         m.monomials = tuple(a for a in basis(n, m.vars, 2 * k) if m.keeps(a))
         m.offset = rsdp.num_decision
         m.index = {a: m.offset + j for j, a in enumerate(m.monomials)}
         rsdp.num_decision += len(m)
-        measures.append(m)
 
     zero = (0,) * n
     rsdp.objective = np.zeros(rsdp.num_decision)
@@ -397,11 +408,14 @@ def _ratio_relaxation(prob, method, k, ratio_order):
         cols, vals = _riesz_cols(m, m.p.sorted_terms(), zero)
         rsdp.objective[cols] = vals
 
-    for mi in range(N):
-        _emit_measure_blocks(rsdp, mi, k, n)
-
     for m in measures:
+        _emit_measure_blocks(rsdp, m, k)
+
+    for r, m in zip(order, measures):
         cols, vals = _riesz_cols(m, m.q.sorted_terms(), zero)
+        if not any(vals):
+            raise BuildError(f"the denominator of ratio {r + 1} vanishes on the "
+                             "equality constraints, so L(q) = 1 cannot hold")
         rsdp.add_eq(cols, vals, 1.0)
 
     for (i, j), shared in pairs:
@@ -516,7 +530,7 @@ def flatness_certificate(rsdp, report):
     The one-pair equality alone admits false positives when a sub-optimal
     pseudo-moment vector is itself atomic, so the certificate insists the
     rank has settled rather than merely repeated once.  M_k is read from
-    the moment blocks the build emitted for the first measure, one per
+    the first measure's emitted blocks (`Measure.moment`), one per
     sign-symmetry class on the quotient basis; graded order keeps a
     class's members of degree at most s a prefix of it, so M_s is made of
     the leading principal parts of the blocks.  Only meaningful for dense
@@ -534,17 +548,13 @@ def flatness_certificate(rsdp, report):
     orders = [k, k - d]
     if k - d - 1 >= 0:
         orders.append(k - d - 1)
-    m = rsdp.measures[0]
-    sub = _block_basis(m, len(rsdp.var_scale), k)
-    blocks = (b for b, mi, kind in zip(rsdp.blocks, rsdp.block_measure, rsdp.block_kind)
-              if mi == 0 and kind == "moment")
     svals = [[] for _ in orders]
-    for cls, blk in zip(block_partition(m.group, sub), blocks):
+    for cls, blk in rsdp.measures[0].moment:
         M = np.zeros((blk.size, blk.size))
         np.add.at(M, (blk.rows, blk.cols), blk.coefs * report.y[blk.varids])
         M += np.triu(M, 1).T  # the entries are stored with i <= j
         for sv, s in zip(svals, orders):
-            n = sum(sum(sub[i]) <= s for i in cls)
+            n = sum(sum(mono) <= s for mono in cls)
             sv.extend(np.linalg.svd(M[:n, :n], compute_uv=False))
     ranks = [int((np.array(sv) > RANK_TOL * max(sv)).sum()) for sv in svals]
     return all(r == ranks[0] for r in ranks)
@@ -552,9 +562,6 @@ def flatness_certificate(rsdp, report):
 
 @dataclass
 class RunResult:
-    problem: SrfoProblem
-    method: str
-    order: int
     rsdp: RelaxationSdp
     report: SolveReport
     bound: float
@@ -591,9 +598,6 @@ def solve_relaxation(
     # the solver minimizes; the values go back to the objective's sense
     sign = -1.0 if prob.maximize else 1.0
     return RunResult(
-        problem=prob,
-        method=method,
-        order=k,
         rsdp=rsdp,
         report=report,
         bound=reported_bound(report, prob.maximize) if report.ok() else float("nan"),

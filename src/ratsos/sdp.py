@@ -343,14 +343,14 @@ class _SizeGroup:
         """Accumulated <F_l, T_b> over all blocks, as a length-m vector."""
         return self.GT @ Tstack.ravel()
 
-    def add_schur(self, W, views, place):
+    def add_schur(self, W, M, place):
         """Add each block's <F_i, W F_j W> into its component's matrix.
 
         Per block, FW @ W_b forms every F_l W_b in nnz*s flops, one GEMM
         with W_b turns them into T[k, l, j] = (W_b F_l W_b)[k, j], and Fh
         gathers the inner products from T's stored positions.  `place[b]`
         is the block's component k and the index of its variable pairs in
-        `views[k]` (`_BlockAngular.place`).
+        `M[k]` (`_BlockAngular.place`).
         """
         s = self.s
         for Wb, FW, Fh, (T, T3), (i, j), kb in zip(W, self.FW, self.Fh, self.T,
@@ -359,7 +359,7 @@ class _SizeGroup:
                 continue
             np.matmul(Wb, (FW @ Wb).reshape(s, -1), out=T)
             k, idx = kb
-            views[k][idx] += Fh @ T3[i, :, j]
+            M[k][idx] += Fh @ T3[i, :, j]
 
 
 class _BlockAngular:
@@ -414,17 +414,16 @@ class _BlockAngular:
         # components in ascending size, the order `schur_blocks` reports
         by_size = np.argsort(counts, kind="stable")
         self.vars = [by_label[i] for i in by_size]
-        self.sizes = counts = counts[by_size]
+        self.sizes = counts[by_size]
         comp_of = np.empty(m, dtype=np.int64)
         self.local = np.empty(m, dtype=np.int64)
         for k, vs in enumerate(self.vars):
             comp_of[vs] = k
             self.local[vs] = np.arange(len(vs))
-        self.offsets = np.concatenate([[0], np.cumsum(counts ** 2)])
         # per size group and block, (k, idx): the block's variable pairs
-        # are views(buf)[k][idx], the whole matrix when the block's
-        # variables are its component's in local order, an open mesh of
-        # their local numbers otherwise
+        # are M[k][idx] of the component matrices M, the whole matrix when
+        # the block's variables are its component's in local order, an open
+        # mesh of their local numbers otherwise
         self.place = [
             [self._place(comp_of, vs) if len(vs) else None for vs in g.vars_list]
             for g in groups
@@ -479,13 +478,6 @@ class _BlockAngular:
         if np.array_equal(loc, np.arange(self.sizes[k])):
             return k, slice(None)
         return k, np.ix_(loc, loc)
-
-    def views(self, buf):
-        """Per-component square matrices backed by one flat buffer."""
-        return [
-            buf[self.offsets[k]:self.offsets[k + 1]].reshape(n, n)
-            for k, n in enumerate(self.sizes)
-        ]
 
     def project(self, v):
         """Component of v in null(E)."""
@@ -624,14 +616,14 @@ class _BlockAngularFactor:
     With one component and no linking rows this is one dense
     factorization of the whole matrix.
 
-    `buf` holds the component matrices (`_BlockAngular.views`).  Each
-    component is restricted, factored and applied on its own, one loop
-    over the components.
+    `M` holds the component matrices, one square matrix per component of
+    `ba`.  Each component is restricted, factored and applied on its own,
+    one loop over the components.
     """
 
-    def __init__(self, ba, buf):
+    def __init__(self, ba, M):
         self.ba = ba
-        self.M = ba.views(buf)
+        self.M = M
         Mt = []
         for Mk, Qk in zip(self.M, ba.Q):
             # the restricted matrix in Fortran order, the layout LAPACK reads
@@ -845,11 +837,10 @@ class _Scaling:
         form = it.form
         self.groups = form.groups
         self.R, self.lam, self.W = zip(*map(_nt_factor_stack, it.X, it.S))
-        buf = np.zeros(form.ba.offsets[-1])
-        views = form.ba.views(buf)
+        M = [np.zeros((n, n)) for n in form.ba.sizes]
         for g, W, place in zip(self.groups, self.W, form.ba.place):
-            g.add_schur(W, views, place)
-        self.factor = _BlockAngularFactor(form.ba, buf)
+            g.add_schur(W, M, place)
+        self.factor = _BlockAngularFactor(form.ba, M)
         self.Rt = [R.transpose(0, 2, 1) for R in self.R]
         # residual of the LMI in the NT-scaled space, shared by both solves
         self.Rl_sc = [Rt @ Rl @ R for R, Rt, Rl in zip(self.R, self.Rt, it.Rlmi)]

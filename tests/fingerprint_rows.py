@@ -11,17 +11,23 @@ solved by `dense` at k=2 on the variables x1 and x2): label, status,
 iterations, the reported bound (`repr`) and certified flag.  The probes
 break the method's precondition (a denominator not positive on K, an
 empty K, a pinned variable), so these lines show what the pipeline reports
-where it cannot hold a sound bound.  A change that must leave the solver
-bit-identical prints the same lines before and after:
+where it cannot hold a sound bound.  Last come the structure lines
+(`STRUCTURES`): for each listed `ratsos gen` instance the first 16 hex
+digits of the sha256 of its `ratsos analyze` output, and the same digest
+of the SDPA export of `rosenbrock --N 100` by `cs-signsym` at k=2, so a
+change to the structure stage or the build shows up even where no row's
+bits move.  A change that must leave the solver bit-identical prints the
+same lines before and after:
 
     PYTHONPATH=src python tests/fingerprint_rows.py > rows.txt
 
-With `--compare rows.txt` it prints only the rows and probes whose line
-differs from the saved one (the saved line first, prefixed "-", then the
-new one, "+") and exits 1 if any differs or is missing on either side.  A
-line "N of M rows differ, P of Q probes differ" goes to stderr before the
-totals, M and Q counting every row and probe of either side, so the share
-of bit-identical rows reads off directly:
+With `--compare rows.txt` it prints only the rows, probes and structure
+lines whose line differs from the saved one (the saved line first,
+prefixed "-", then the new one, "+") and exits 1 if any differs or is
+missing on either side.  A line "N of M rows differ, P of Q probes
+differ, S of T structures differ" goes to stderr before the totals, M, Q
+and T counting every line of either side, so the share of bit-identical
+rows reads off directly:
 
     PYTHONPATH=src python tests/fingerprint_rows.py --compare rows.txt
 
@@ -45,20 +51,23 @@ timings of `import ratsos.cli` in seconds, go to stderr as a last line, so
 a run states the totals a solver change is judged by, and the code size
 and start-up cost next to them.
 
-It takes about 12 s on one core of a shared 2-core box, N times that with
-`--repeat N`.
+It takes about 14 s on one core of a shared 2-core box; `--repeat N`
+runs the rows N times.
 pytest does not collect this file.
 """
 
 import argparse
 import collections
+import contextlib
 import hashlib
+import io
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import ratsos
-from ratsos.cli import BENCH_TABLES, _bench_rows
+from ratsos.cli import BENCH_TABLES, _bench_rows, main as cli_main
 from ratsos.families import gen_rand_srfo
 from ratsos.problem import parse
 from ratsos.relax import solve_relaxation
@@ -102,6 +111,51 @@ def probes():
         yield f"probe:{label}", parse("vars x1 x2\n" + text)
 
 
+# `ratsos gen` arguments of the instances whose `ratsos analyze` output is
+# hashed
+STRUCTURES = (
+    "reznick --M 6 --d 2",
+    "motzkin --N 2",
+    "rosenbrock --N 10",
+    "ballmix",
+    "overlap --N 8 --s 1",
+    "reznick-sparse --N 4 --d 2",
+    "rand --N 4 --n 4 --d 3 --xi 0.2 --seed 5",
+    "shekel --n 3",
+    "rayleigh --n 2 --N 2 --seed 1",
+)
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_cli(argv):
+    """Stdout of one `ratsos` command, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"ratsos {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def structures():
+    """(label, digest) of every `analyze` output and of the SDPA export."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp, "instance.srfo"))
+        for args in STRUCTURES:
+            run_cli(["gen", *args.split(), "--out", path])
+            yield (f"structure:analyze {args}",
+                   digest(run_cli(["analyze", path]).encode()))
+        target = pathlib.Path(tmp, "instance.dat-s")
+        run_cli(["gen", "rosenbrock", "--N", "100", "--out", path])
+        run_cli(["solve", path, "--method", "cs-signsym", "--order", "2",
+                 "--solver", "sdpa-export", "--out", str(target)])
+        yield ("structure:export rosenbrock --N 100 cs-signsym k=2",
+               digest(target.read_bytes()))
+
+
 def src_lines():
     """Summed line count of the imported package's sources, as `wc -l` counts."""
     src = pathlib.Path(ratsos.__file__).parent
@@ -125,6 +179,18 @@ def import_s(repeats=3):
     )
 
 
+# fields after the label, per kind of line
+FIELDS = {"rows": 7, "probes": 4, "structures": 1}
+
+
+def kind_of(line):
+    if line.startswith("probe:"):
+        return "probes"
+    if line.startswith("structure:"):
+        return "structures"
+    return "rows"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", metavar="FILE",
@@ -138,9 +204,10 @@ def main():
     saved = None
     if args.compare:
         with open(args.compare) as fh:
-            # the label is all but the last seven fields of a row and the
-            # last four of a probe (it may hold spaces)
-            saved = {line.rsplit(" ", 4 if line.startswith("probe:") else 7)[0]:
+            # the label is all but the last seven fields of a row, the last
+            # four of a probe and the last one of a structure line (it may
+            # hold spaces)
+            saved = {line.rsplit(" ", FIELDS[kind_of(line)])[0]:
                      line.rstrip("\n") for line in fh if line.strip()}
     differ = collections.Counter()
     seen = collections.Counter()
@@ -181,8 +248,10 @@ def main():
         res = solve_relaxation(prob, "dense", 2)
         report("probes", label, (res.report.status, res.report.iterations,
                                  repr(res.bound), res.certified))
+    for label, hexdigest in structures():
+        report("structures", label, (hexdigest,))
     for old in (saved or {}).values():
-        kind = "probes" if old.startswith("probe:") else "rows"
+        kind = kind_of(old)
         seen[kind] += 1
         differ[kind] += 1
         print(f"-{old}\n+(missing)", flush=True)
@@ -190,9 +259,8 @@ def main():
         print(f"total build {total[0]:.4f} s solve {total[1]:.4f} s "
               f"(min of {args.repeat} per row)", file=sys.stderr)
     if saved is not None:
-        print(f"{differ['rows']} of {seen['rows']} rows differ, "
-              f"{differ['probes']} of {seen['probes']} probes differ",
-              file=sys.stderr)
+        print(", ".join(f"{differ[kind]} of {seen[kind]} {kind} differ"
+                        for kind in FIELDS), file=sys.stderr)
     tally = " ".join(f"{status} {n}" for status, n in statuses.most_common())
     print(f"total iterations {iterations} krylov_applies {applies} "
           f"statuses {tally} src_lines {src_lines()} import_s {import_s():.3f}",

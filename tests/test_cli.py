@@ -214,6 +214,18 @@ class TestSolve:
             assert code == EXIT_BUILD, method
             assert "ratio order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["dense", "signsym", "cs"])
+    def test_denominator_vanishing_on_the_equalities(self, capsys, tmp_path, method):
+        # q = 1 - x1^2 - x2^2 is zero on the circle, so the normalization
+        # row L(q) = 1 has no nonzero coefficient left in the quotient
+        f = tmp_path / "circle.srfo"
+        f.write_text("vars x1 x2\nratio: (x1)/(1 - x1^2 - x2^2)\n"
+                     "constraint: 1 - x1^2 - x2^2 == 0\n")
+        code = main(["solve", str(f), "--method", method, "--order", "2"])
+        assert code == EXIT_BUILD
+        assert ("the denominator of ratio 1 vanishes on the equality constraints"
+                in capsys.readouterr().err)
+
     def test_sdpa_export_rejects_orders(self, capsys, trivial_file, tmp_path):
         target = tmp_path / "out.dat-s"
         code = main(["solve", trivial_file, "--solver", "sdpa-export",
@@ -275,9 +287,7 @@ class TestAnalyze:
         rsdp = relax.build(parse(target.read_text()), "signsym", 6)
         assert len(hists) == len(rsdp.measures) == 5
         for mi, hist in enumerate(hists):
-            sizes = Counter(b.size for b, i, kind in zip(
-                rsdp.blocks, rsdp.block_measure, rsdp.block_kind)
-                if i == mi and kind == "moment")
+            sizes = Counter(b.size for _, b in rsdp.measures[mi].moment)
             assert hist == "{" + ", ".join(
                 f"{s}x{c}" for s, c in sorted(sizes.items(), reverse=True)) + "}"
         assert hists[0] == "{10x1, 6x6, 3x1}"

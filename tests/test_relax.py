@@ -141,7 +141,9 @@ class TestStructure:
             assert all(m.index[a] == m.offset + i for i, a in enumerate(m.monomials))
             ends.append(m.offset + len(m))
         assert ends[-1] == rsdp.num_decision
-        for blk, mi in zip(rsdp.blocks, rsdp.block_measure):
+        labels = [m.label for m in rsdp.measures]
+        for blk in rsdp.blocks:
+            mi = labels.index(blk.label.split(":")[0])
             assert ends[mi] <= blk.varids.min() and blk.varids.max() < ends[mi + 1]
         assert rsdp.objective.shape == (rsdp.num_decision,)
         for gid in np.nonzero(rsdp.objective)[0]:
@@ -202,16 +204,10 @@ class TestStructure:
         ]
         mbasis = list(full_basis(prob.nvars, k))
         for mi, group in enumerate(groups):
-            sizes = [
-                b.size
-                for b, bm, kind in zip(rsdp.blocks, rsdp.block_measure, rsdp.block_kind)
-                if bm == mi and kind == "moment"
-            ]
-            assert sum(sizes) == len(mbasis)
             lay = rsdp.measures[mi]
-            for blk, bm, kind in zip(rsdp.blocks, rsdp.block_measure, rsdp.block_kind):
-                if bm != mi or kind != "moment":
-                    continue
+            sizes = [b.size for _, b in lay.moment]
+            assert sum(sizes) == len(mbasis)
+            for _, blk in lay.moment:
                 for v in blk.varids:
                     mono = lay.monomials[v - lay.offset]
                     assert in_closure(group, mono)

@@ -301,9 +301,9 @@ class TestInternalSolver:
         live, seen = weakref.WeakSet(), []
 
         class Probe(sdp._BlockAngularFactor):
-            def __init__(self, ba, buf):
+            def __init__(self, ba, M):
                 seen.append(len(live))
-                super().__init__(ba, buf)
+                super().__init__(ba, M)
                 live.add(self)
 
         monkeypatch.setattr(sdp, "_BlockAngularFactor", Probe)
@@ -339,18 +339,17 @@ def first_iterate_schur(sf):
     G_b the vectorized LMI map of block b.
     """
     groups, ba = schur_structure(sf)
-    buf = np.zeros(ba.offsets[-1])
-    views = ba.views(buf)
+    M = [np.zeros((n, n)) for n in ba.sizes]
     dense = np.zeros((sf.num_vars, sf.num_vars))
     for g, place in zip(groups, ba.place):
         eta = np.maximum(10.0, 1.5 * np.sqrt((g.C ** 2).sum(axis=(1, 2))))
-        g.add_schur(np.sqrt(10.0 / eta)[:, None, None] * np.eye(g.s), views, place)
+        g.add_schur(np.sqrt(10.0 / eta)[:, None, None] * np.eye(g.s), M, place)
         ss = g.s * g.s
         G = scipy_csr(g.G)
         for b in range(g.B):
             Gb = G[b * ss:(b + 1) * ss]
             dense += (10.0 / eta[b]) * (Gb.T @ Gb).toarray()
-    return ba, buf, dense
+    return ba, M, dense
 
 
 def random_scaling(rng, g):
@@ -361,10 +360,10 @@ def random_scaling(rng, g):
 
 def assembled_schur(g, W, ba, place):
     """Group g's part of the Schur matrix from `add_schur`, as one m x m matrix."""
-    views = ba.views(np.zeros(ba.offsets[-1]))
-    g.add_schur(W, views, place)
+    M = [np.zeros((n, n)) for n in ba.sizes]
+    g.add_schur(W, M, place)
     got = np.zeros((ba.m, ba.m))
-    for vs, Mk in zip(ba.vars, views):
+    for vs, Mk in zip(ba.vars, M):
         got[np.ix_(vs, vs)] = Mk
     return got
 
@@ -399,8 +398,9 @@ def dense_reference_factor(E):
     Q1, R11 = Q[:, :r], R[:r, :r]
 
     class Factor:
-        def __init__(self, ba, buf):
-            M = self.M = buf.reshape(E.shape[1], E.shape[1])
+        def __init__(self, ba, Ms):
+            (M,) = Ms  # one component
+            self.M = M
             MQ = M @ Q1
             K = Q1.T @ MQ + float(np.mean(np.diag(M))) * np.eye(r)
             B = 0.5 * (Q1 @ K) - MQ
@@ -503,7 +503,7 @@ class TestBlockAngularNewton:
             "overlap-chain-cs"])
     def test_direction_matches_bordered_solve(self, prob, method, k, linking):
         sf = to_standard_form(build(prob, method, k))
-        ba, buf, M = first_iterate_schur(sf)
+        ba, Ms, M = first_iterate_schur(sf)
         assert len(ba.sizes) > 1 and ba.r_I > 0 and (ba.r_L > 0) == linking
         E = sf.eq_mat.toarray()
         m, nf = E.shape[1], E.shape[0]
@@ -511,7 +511,7 @@ class TestBlockAngularNewton:
         r_e = sf.eq_rhs
         kkt = np.block([[M, -E.T], [E, np.zeros((nf, nf))]])
         ref = np.linalg.solve(kkt, np.concatenate([rhs1, r_e]))
-        dy, dnu, _ = sdp._BlockAngularFactor(ba, buf).solve(rhs1, r_e)
+        dy, dnu, _ = sdp._BlockAngularFactor(ba, Ms).solve(rhs1, r_e)
         assert np.linalg.norm(dy - ref[:m]) <= 1e-9 * np.linalg.norm(ref[:m])
         assert np.linalg.norm(dnu - ref[m:]) <= 1e-9 * np.linalg.norm(ref[m:])
 
@@ -701,8 +701,8 @@ class TestDirectKernels:
         # localizing blocks, the latter given repeated entries, and
         # equality rows, 18 of them linking
         rsdp = build(gen_unit_ball_mix(), "dense", 2)
-        blocks = [repeated_entries(b) if kind == "localizing" else b
-                  for b, kind in zip(rsdp.blocks, rsdp.block_kind)]
+        blocks = [repeated_entries(b) if ":loc[" in b.label else b
+                  for b in rsdp.blocks]
         sf = to_standard_form(rsdp)
         sf = SdpStandardForm(sf.num_vars, sf.objective, blocks, sf.eq_mat, sf.eq_rhs)
         return sf, sdp._Form(sf)
@@ -1077,9 +1077,9 @@ class TestBlasThreads:
         seen = []
 
         class Probe(sdp._BlockAngularFactor):
-            def __init__(self, ba, buf):
+            def __init__(self, ba, M):
                 seen.append(pool_counts())
-                super().__init__(ba, buf)
+                super().__init__(ba, M)
 
         monkeypatch.setattr(sdp, "_BlockAngularFactor", Probe)
         assert solve_internal(trivial_sdp()).status == "optimal"
@@ -1087,7 +1087,7 @@ class TestBlasThreads:
         assert pool_counts() == two_threads
 
     def test_counts_restored_after_a_raise(self, two_threads, monkeypatch):
-        def broken(ba, buf):
+        def broken(ba, M):
             raise RuntimeError("factor broke")
 
         monkeypatch.setattr(sdp, "_BlockAngularFactor", broken)
